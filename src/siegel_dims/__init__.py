@@ -40,6 +40,7 @@ from .newforms import (
     bounds_squarefree,
     count_decompositions,
     decompose,
+    iter_decompositions,
 )
 from .tables import TableSpec, emit_table
 from .verification import VerificationReport, run_all_checks
@@ -81,6 +82,7 @@ __all__ = [
     "hecke_factor",
     "irrep_dim",
     "is_prime",
+    "iter_decompositions",
     "legendre_symbol",
     "parse_square_free_level",
     "run_all_checks",

@@ -182,34 +182,32 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _format_solution(sol: newforms.Decomposition) -> str:
-    nonzero = sol.nonzero()
-    if not nonzero:
-        return "trivial"
-    return " ".join(f"c{n}={c}" for n, c in sorted(nonzero.items()))
-
-
 def _cmd_decompose(args) -> int:
-    solutions = newforms.decompose(
+    count, solutions = newforms.counted_decompositions(
         args.prime, args.target,
         include_nonunitary=args.include_nonunitary,
         max_solutions=args.max_solutions,
     )
     if args.format == "json":
-        payload = {
+        # The count is known before the walk, so the document is written as
+        # the solutions arrive, in the same bytes json.dumps gives for it.
+        head, _, tail = json.dumps({
             "prime": args.prime,
             "target": args.target,
             "include_nonunitary": args.include_nonunitary,
-            "count": len(solutions),
-            "solutions": [
-                {str(n): c for n, c in sol.multiplicities.items()} for sol in solutions
-            ],
-        }
-        print(json.dumps(payload))
+            "count": count,
+            "solutions": [],
+        }).rpartition("[]")
+        sys.stdout.write(head + "[")
+        separator = ""
+        for sol in solutions:
+            sys.stdout.write(separator + json.dumps(sol.to_json_dict()))
+            separator = ", "
+        sys.stdout.write("]" + tail + "\n")
     else:
         for sol in solutions:
-            print(_format_solution(sol))
-        print(f"{len(solutions)} solution(s)", file=sys.stderr)
+            print(sol.to_text())
+        print(f"{count} solution(s)", file=sys.stderr)
     return 0
 
 

@@ -14,6 +14,7 @@ representation indices, never with bare degree values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from .arithmetic import require_odd_prime
@@ -29,15 +30,7 @@ class IrrepEntry:
     numerator: Callable[[int], int] = field(repr=False)
 
     def dim_at(self, p: int) -> int:
-        require_odd_prime(p)
-        n = self.numerator(p)
-        if self.halved:
-            if n % 2:
-                raise IntegralityError(
-                    f"row {self.index}: {self.formula} has odd numerator {n} at p={p}"
-                )
-            n //= 2
-        return n
+        return degrees_at(p)[self.index - 1]
 
 
 _ROWS: list[tuple[str, bool, Callable[[int], int]]] = [
@@ -68,31 +61,52 @@ TABLE: tuple[IrrepEntry, ...] = tuple(
 )
 
 
+@lru_cache(maxsize=64)
+def degrees_at(p: int) -> tuple[int, ...]:
+    """The degrees a_1(p), ..., a_17(p) in row order.
+
+    The one place where p is checked to be an odd prime and where the halved
+    rows are checked for evenness; every other reader of the table goes
+    through this cached tuple.
+    """
+    require_odd_prime(p)
+    degrees = []
+    for e in TABLE:
+        n = e.numerator(p)
+        if e.halved:
+            if n % 2:
+                raise IntegralityError(
+                    f"row {e.index}: {e.formula} has odd numerator {n} at p={p}"
+                )
+            n //= 2
+        degrees.append(n)
+    return tuple(degrees)
+
+
 def irrep_dim(n: int, p: int) -> int:
     """Degree of row n (1..17) evaluated at the odd prime p."""
     if not 1 <= n <= 17:
         raise IndexOutOfRangeError(f"representation index must be in 1..17, got {n}")
-    return TABLE[n - 1].dim_at(p)
+    return degrees_at(p)[n - 1]
 
 
 def unitary_dims(p: int) -> list[tuple[int, int]]:
     """(index, degree) for the unitary-relevant rows 1..15 at p, sorted by
     ascending degree with the index as tie-break."""
-    require_odd_prime(p)
-    pairs = [(e.index, e.dim_at(p)) for e in TABLE if e.unitary_relevant]
+    degrees = degrees_at(p)
+    pairs = [(e.index, degrees[e.index - 1]) for e in TABLE if e.unitary_relevant]
     pairs.sort(key=lambda t: (t[1], t[0]))
     return pairs
 
 
 def table_at(p: int) -> list[dict]:
     """The full table evaluated at p, one dict per row (JSON-friendly)."""
-    require_odd_prime(p)
     return [
         {
             "index": e.index,
             "formula": e.formula,
-            "dimension": e.dim_at(p),
+            "dimension": d,
             "unitary_relevant": e.unitary_relevant,
         }
-        for e in TABLE
+        for e, d in zip(TABLE, degrees_at(p))
     ]

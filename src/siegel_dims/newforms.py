@@ -4,7 +4,8 @@ A cuspidal automorphic representation contributing to S_k(Gamma(p)) occupies
 a block of the space whose size is the degree of a nontrivial irreducible
 representation of GSp(4,F_p), so the multiplicities (c_1..c_15) of the
 unitary-relevant degrees must solve sum c_n * a_n(p) = dim S_k(Gamma(p)).
-``decompose`` enumerates every solution of that equation; ``bounds_prime``
+``iter_decompositions`` streams every solution of that equation and
+``decompose`` lists them; ``bounds_prime``
 and ``bounds_squarefree`` give the closed-form lower/upper bounds on the
 newform dimension; ``analyze_level`` packages dimension, bounds, solutions
 and (for weight 4, level 3) the local-component identification into one
@@ -14,6 +15,7 @@ report.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,8 +27,13 @@ from .dimensions import (
     dim_principal,
     dim_principal_prime,
 )
-from .errors import InputError, IntegralityError, TooManySolutionsError
-from .irreps import TABLE, irrep_dim
+from .errors import (
+    IndexOutOfRangeError,
+    InputError,
+    IntegralityError,
+    TooManySolutionsError,
+)
+from .irreps import NON_UNITARY_INDICES, degrees_at, irrep_dim
 
 # Enumeration is only meaningful for desk-scale targets; these caps abort
 # pathological requests with an explicit error instead of running forever.
@@ -105,11 +112,17 @@ class Decomposition:
     target: int
 
     def __post_init__(self):
+        degrees = degrees_at(self.prime)
+        top = len(degrees)
         total = 0
         for n, c in self.multiplicities.items():
             if c < 0:
                 raise InputError(f"multiplicity c_{n} = {c} is negative")
-            total += c * irrep_dim(n, self.prime)
+            if not 1 <= n <= top:
+                raise IndexOutOfRangeError(
+                    f"representation index must be in 1..{top}, got {n}"
+                )
+            total += c * degrees[n - 1]
         if total != self.target:
             raise InputError(
                 f"multiplicities sum to {total}, not the target {self.target}"
@@ -126,10 +139,21 @@ class Decomposition:
     def nonzero(self) -> dict[int, int]:
         return {n: c for n, c in self.multiplicities.items() if c}
 
+    def to_text(self) -> str:
+        """``c14=1 c15=2`` style, nonzero terms by index; ``trivial`` for 0."""
+        terms = sorted(self.nonzero().items())
+        return " ".join(f"c{n}={c}" for n, c in terms) or "trivial"
 
-def _active_dims(p: int, include_nonunitary: bool) -> list[tuple[int, int]]:
-    entries = [e for e in TABLE if include_nonunitary or e.unitary_relevant]
-    return [(e.index, e.dim_at(p)) for e in entries]
+    def to_json_dict(self) -> dict[str, int]:
+        """Every index in play as a string key, zeros included."""
+        return {str(n): c for n, c in self.multiplicities.items()}
+
+
+def _active_dims(p: int, include_nonunitary: bool) -> tuple[int, ...]:
+    """a_1(p), a_2(p), ... for the indices in play.  The non-unitary rows are
+    the last ones of the table, so leaving them out is a slice."""
+    degrees = degrees_at(p)
+    return degrees if include_nonunitary else degrees[: -len(NON_UNITARY_INDICES)]
 
 
 def _check_target(D: int) -> int:
@@ -142,20 +166,125 @@ def _check_target(D: int) -> int:
     return D
 
 
+def _check_cap(max_solutions: int) -> None:
+    if max_solutions < 0:
+        raise InputError(f"the solution cap must be non-negative, got {max_solutions}")
+
+
 def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> int:
     """Number of solutions of sum c_n * a_n(p) = D, without enumerating them.
 
     Coin-change style dynamic program, one pass per representation index, so
     indices that share a degree (rows 9 and 10 at p = 3) count separately.
     """
-    require_odd_prime(p)
+    degrees = _active_dims(p, include_nonunitary)
     _check_target(D)
     counts = [0] * (D + 1)
     counts[0] = 1
-    for _, d in _active_dims(p, include_nonunitary):
+    for d in degrees:
         for s in range(d, D + 1):
             counts[s] += counts[s - d]
     return counts[D]
+
+
+def iter_decompositions(
+    p: int, D: int, include_nonunitary: bool = False
+) -> Iterator[Decomposition]:
+    """Every solution of sum c_n * a_n(p) = D, lazily, in lexicographic order
+    of (c_1, c_2, ...).
+
+    p and D are validated when this is called, not when iteration starts.
+    There is no solution cap here; :func:`counted_decompositions` and
+    :func:`decompose` count first and enforce one.
+    """
+    degrees = _active_dims(p, include_nonunitary)
+    _check_target(D)
+    return _walk(degrees, p, D)
+
+
+def _walk(degrees: tuple[int, ...], p: int, D: int) -> Iterator[Decomposition]:
+    n = len(degrees)
+    # reachable[j] = bitset of the sums attainable with degrees[j:].
+    reachable = [0] * (n + 1)
+    reachable[n] = 1
+    mask = (1 << (D + 1)) - 1
+    for j in range(n - 1, -1, -1):
+        r = reachable[j + 1]
+        shift = degrees[j]
+        while shift <= D:
+            r |= r << shift
+            shift <<= 1
+        reachable[j] = r & mask
+    if not (reachable[0] >> D) & 1:
+        return
+
+    # Depth-first over indices 1..n with c ascending, on an explicit stack.
+    # Only reachable remainders are entered, so every node leads to at least
+    # one solution and the solutions come out already sorted.  The last
+    # multiplicity is forced: c_n = rest / a_n.
+    indices = range(1, n + 1)
+    last = n - 1
+    a_last = degrees[last]
+    vec = [0] * n
+    rests = [D] * last  # rests[j] = the target left once c_1..c_j are fixed
+    j, c = 0, 0
+    while True:
+        d = degrees[j]
+        suffix = reachable[j + 1]
+        rest = rests[j] - c * d
+        while rest >= 0 and not (suffix >> rest) & 1:
+            rest -= d
+            c += 1
+        if rest < 0:  # index j is exhausted: back up one index
+            if j == 0:
+                return
+            j -= 1
+            c = vec[j] + 1
+        elif j + 1 < last:
+            vec[j] = c
+            j += 1
+            rests[j] = rest
+            c = 0
+        else:
+            vec[j] = c
+            vec[last] = rest // a_last
+            yield Decomposition(dict(zip(indices, vec)), p, D)
+            c += 1
+
+
+def counted_decompositions(
+    p: int,
+    D: int,
+    include_nonunitary: bool = False,
+    max_solutions: int = DEFAULT_SOLUTION_CAP,
+) -> tuple[int, Iterator[Decomposition]]:
+    """The solution count and a stream of the solutions, for callers that
+    want the count before the first solution.
+
+    The count is computed first; if it exceeds ``max_solutions`` a
+    :class:`TooManySolutionsError` carrying the exact count is raised before
+    any enumeration starts, and a negative cap is an :class:`InputError`.
+    The stream raises :class:`IntegralityError` at its end if it yielded a
+    different number of solutions.
+    """
+    _check_cap(max_solutions)
+    count = count_decompositions(p, D, include_nonunitary)
+    if count > max_solutions:
+        raise TooManySolutionsError(
+            f"{count} solutions exceed the cap of {max_solutions}", count=count
+        )
+    return count, _checked(iter_decompositions(p, D, include_nonunitary), count)
+
+
+def _checked(solutions: Iterator[Decomposition], count: int) -> Iterator[Decomposition]:
+    found = 0
+    for sol in solutions:
+        found += 1
+        yield sol
+    if found != count:
+        raise IntegralityError(
+            f"enumeration found {found} solutions but the count is {count}"
+        )
 
 
 def decompose(
@@ -165,65 +294,14 @@ def decompose(
     max_solutions: int = DEFAULT_SOLUTION_CAP,
 ) -> list[Decomposition]:
     """All solutions of sum c_n * a_n(p) = D, in lexicographic order of
-    (c_1, c_2, ...).
+    (c_1, c_2, ...): the list form of :func:`iter_decompositions`.
 
     The solution count is computed first; if it exceeds ``max_solutions`` a
     :class:`TooManySolutionsError` carrying the exact count is raised before
-    any enumeration starts.  The search itself walks indices in descending
-    degree order and prunes with per-suffix reachability bitsets, so only
-    branches leading to at least one solution are visited.
+    any enumeration starts.  A negative cap is an :class:`InputError`.
     """
-    count = count_decompositions(p, D, include_nonunitary)
-    if count > max_solutions:
-        raise TooManySolutionsError(
-            f"{count} solutions exceed the cap of {max_solutions}", count=count
-        )
-
-    indexed = _active_dims(p, include_nonunitary)
-    order = sorted(indexed, key=lambda t: -t[1])
-    n = len(order)
-
-    # reachable[j] = bitset of sums attainable with the degrees order[j:]
-    reachable = [0] * (n + 1)
-    reachable[n] = 1
-    mask = (1 << (D + 1)) - 1
-    for j in range(n - 1, -1, -1):
-        r = reachable[j + 1]
-        shift = order[j][1]
-        while shift <= D:
-            r |= r << shift
-            shift <<= 1
-        reachable[j] = r & mask
-
-    vectors: list[tuple[int, ...]] = []
-    current = {idx: 0 for idx, _ in indexed}
-
-    def walk(j: int, remaining: int) -> None:
-        if j == n:
-            vectors.append(tuple(current[idx] for idx, _ in indexed))
-            return
-        idx, d = order[j]
-        suffix = reachable[j + 1]
-        c = 0
-        while c * d <= remaining:
-            rest = remaining - c * d
-            if (suffix >> rest) & 1:
-                current[idx] = c
-                walk(j + 1, rest)
-            c += 1
-        current[idx] = 0
-
-    if (reachable[0] >> D) & 1:
-        walk(0, D)
-    if len(vectors) != count:
-        raise IntegralityError(
-            f"enumeration found {len(vectors)} solutions but the count is {count}"
-        )
-    vectors.sort()
-    indices = [idx for idx, _ in indexed]
-    return [
-        Decomposition(dict(zip(indices, vec)), p, D) for vec in vectors
-    ]
+    _, solutions = counted_decompositions(p, D, include_nonunitary, max_solutions)
+    return list(solutions)
 
 
 # --- level analysis ----------------------------------------------------------
@@ -275,10 +353,7 @@ class AnalysisReport:
             "solution_count": self.solution_count,
         }
         if self.solutions is not None:
-            out["solutions"] = [
-                {str(n): c for n, c in sol.multiplicities.items()}
-                for sol in self.solutions
-            ]
+            out["solutions"] = [sol.to_json_dict() for sol in self.solutions]
         for key in (
             "enumeration_note",
             "newform_dimension",
@@ -307,10 +382,7 @@ class AnalysisReport:
             if self.solutions is None:
                 lines.append(f"  ({self.enumeration_note})")
             else:
-                for sol in self.solutions:
-                    nz = sol.nonzero()
-                    body = " ".join(f"c{n}={c}" for n, c in sorted(nz.items())) or "trivial"
-                    lines.append(f"  {body}")
+                lines.extend(f"  {sol.to_text()}" for sol in self.solutions)
         if self.newform_dimension is not None:
             lines.append(f"newform dimension: {self.newform_dimension}")
         if self.unique_solution_note:
@@ -330,10 +402,13 @@ def analyze_level(
     """Dimension, bounds, and decomposition analysis of S_k(Gamma(p)).
 
     When the decomposition is unique the newform dimension sum(c_n) is
-    derived.  For (k, p) = (4, 3) -- the one case the tabulated Gamma_0 and
-    paramodular dimensions settle -- the local component is identified among
-    the two degree-a_14 candidates via their fixed-vector behaviour.
+    derived, even when ``max_solutions`` (which must be non-negative) is too
+    small for the solution list to be kept.  For (k, p) = (4, 3) -- the one
+    case the tabulated Gamma_0 and paramodular dimensions settle -- the local
+    component is identified among the two degree-a_14 candidates via their
+    fixed-vector behaviour.
     """
+    _check_cap(max_solutions)
     dimension = dim_principal_prime(k, p)
     bounds = bounds_prime(k, p)
     report = AnalysisReport(
@@ -362,7 +437,10 @@ def analyze_level(
         report.solutions = decompose(p, dimension, max_solutions=max_solutions)
 
     if report.solution_count == 1:
-        only = report.solutions[0]
+        if report.solutions is None:
+            only = next(iter_decompositions(p, dimension))
+        else:
+            only = report.solutions[0]
         report.newform_dimension = only.total_multiplicity
         noun = (
             "a single automorphic representation accounts"

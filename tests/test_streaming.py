@@ -1,0 +1,167 @@
+"""The streaming walk behind ``decompose``: order, completeness, the cost of
+validation, the solution cap, and the streamed CLI output."""
+
+import json
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import siegel_dims
+from siegel_dims import arithmetic, newforms
+from siegel_dims.cli import main
+from siegel_dims.errors import (
+    EvenPrimeError,
+    IndexOutOfRangeError,
+    InputError,
+    IntegralityError,
+)
+from siegel_dims.irreps import degrees_at
+from siegel_dims.newforms import (
+    TAU_COMPONENT,
+    Decomposition,
+    analyze_level,
+    count_decompositions,
+    decompose,
+    iter_decompositions,
+)
+from test_newforms import naive_solutions_up_to
+
+MAX_TARGET = 150
+
+
+@cache
+def naive(p, include_nonunitary):
+    return naive_solutions_up_to(p, MAX_TARGET, include_nonunitary)
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestIterDecompositions:
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.integers(min_value=0, max_value=MAX_TARGET),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_oracle_in_order(self, p, target, include_nonunitary):
+        vectors = [s.vector for s in iter_decompositions(p, target, include_nonunitary)]
+        assert vectors == naive(p, include_nonunitary)[target]
+        assert all(a < b for a, b in zip(vectors, vectors[1:]))
+        assert len(vectors) == count_decompositions(p, target, include_nonunitary)
+
+    def test_is_lazy_and_exported(self):
+        stream = siegel_dims.iter_decompositions(3, 76)
+        first = next(stream)
+        assert first.vector == decompose(3, 76)[0].vector
+        assert sum(1 for _ in stream) == 12
+
+    def test_validates_when_called(self):
+        with pytest.raises(EvenPrimeError):
+            iter_decompositions(2, 10)
+        with pytest.raises(InputError):
+            iter_decompositions(3, -1)
+
+
+@pytest.mark.parametrize("target", [15, 300])
+def test_primality_is_checked_a_constant_number_of_times(monkeypatch, target):
+    calls = []
+    real = arithmetic.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arithmetic, "is_prime", counting)
+    degrees_at.cache_clear()
+    solutions = decompose(3, target)
+    assert len(solutions) == count_decompositions(3, target)
+    assert 1 <= len(calls) <= 5
+
+
+class TestDecompositionChecks:
+    def test_rejects_unknown_index(self):
+        counts = {n: 0 for n in range(1, 16)}
+        counts[18] = 1
+        with pytest.raises(IndexOutOfRangeError):
+            Decomposition(counts, 3, 0)
+
+    def test_enumeration_count_mismatch_is_an_integrity_failure(self, monkeypatch):
+        monkeypatch.setattr(newforms, "count_decompositions", lambda p, D, nu=False: 2)
+        with pytest.raises(IntegralityError):
+            decompose(3, 15)
+
+
+class TestSolutionCap:
+    def test_negative_cap_is_rejected(self):
+        with pytest.raises(InputError, match="-1"):
+            decompose(3, 15, max_solutions=-1)
+        with pytest.raises(InputError, match="-1"):
+            analyze_level(4, 3, max_solutions=-1)
+
+    def test_cap_zero_keeps_the_unique_solution_analysis(self):
+        report = analyze_level(4, 3, max_solutions=0)
+        assert report.solution_count == 1
+        assert report.solutions is None
+        assert "cap of 0" in report.enumeration_note
+        assert report.newform_dimension == 1
+        assert report.local_component == TAU_COMPONENT
+        assert "solutions" not in report.to_json_dict()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cli_analyze_at_cap_zero(self, capsys, fmt):
+        code, out, err = run(capsys, "analyze", "--weight", 4, "--prime", 3,
+                             "--max-solutions", 0, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "Saito-Kurokawa" in out
+
+    @pytest.mark.parametrize("command", [
+        ("decompose", "--prime", 3, "--target", 15),
+        ("analyze", "--weight", 4, "--prime", 3),
+    ])
+    def test_cli_negative_cap_exits_1(self, capsys, command):
+        code, out, err = run(capsys, *command, "--max-solutions", -1)
+        assert (code, out) == (1, "")
+        assert "-1" in err and "exceed" not in err
+
+
+def list_rendering(p, target, include_nonunitary, fmt):
+    """The CLI output built from the whole list, as it was before streaming."""
+    solutions = decompose(p, target, include_nonunitary)
+    if fmt == "json":
+        return json.dumps({
+            "prime": p,
+            "target": target,
+            "include_nonunitary": include_nonunitary,
+            "count": len(solutions),
+            "solutions": [{str(n): c for n, c in s.multiplicities.items()} for s in solutions],
+        }) + "\n"
+    lines = [" ".join(f"c{n}={c}" for n, c in sorted(s.nonzero().items())) or "trivial"
+             for s in solutions]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("p,target,include_nonunitary", [
+    (3, 0, False), (3, 5, False), (3, 76, False), (3, 76, True), (5, 900, False), (7, 2500, True),
+])
+def test_cli_stream_equals_list_rendering(capsys, fmt, p, target, include_nonunitary):
+    flags = ["--include-nonunitary"] if include_nonunitary else []
+    code, out, err = run(capsys, "decompose", "--prime", p, "--target", target,
+                         "--format", fmt, *flags)
+    assert code == 0
+    assert out == list_rendering(p, target, include_nonunitary, fmt)
+    count = count_decompositions(p, target, include_nonunitary)
+    assert err == ("" if fmt == "json" else f"{count} solution(s)\n")
+
+
+def test_cli_count_mismatch_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(newforms, "count_decompositions", lambda p, D, nu=False: 2)
+    code, _, err = run(capsys, "decompose", "--prime", 3, "--target", 15)
+    assert code == 2
+    assert "integrity" in err
