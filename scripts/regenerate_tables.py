@@ -6,7 +6,7 @@ Usage: python scripts/regenerate_tables.py [--format text|csv|json|latex]
 
 import argparse
 
-from siegel_dims.tables import TableSpec, emit_table
+from siegel_dims.tables import FORMATS, TableSpec, emit_table
 
 TABLES = [
     ("dim S_k(Sp(4,Z)), k = 10..20",
@@ -28,8 +28,7 @@ TABLES = [
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--format", default="text",
-                        choices=("text", "csv", "json", "latex"))
+    parser.add_argument("--format", default="text", choices=FORMATS)
     args = parser.parse_args()
 
     for title, spec in TABLES:

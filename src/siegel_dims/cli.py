@@ -11,18 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import irreps, newforms, verification
+from . import newforms, verification
 from .arithmetic import is_prime, parse_square_free_level
-from .dimensions import (
-    dim_full_level,
-    dim_gamma0,
-    dim_paramodular_weight4,
-    dim_principal_level,
-)
-from .errors import InputError, IntegralityError, NotTabulatedError
-from .tables import FORMATS, TableSpec, emit_table
+from .errors import InputError, IntegralityError
+from .tables import FAMILIES, FORMATS, TableSpec, build_rows, emit_irreps, emit_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,12 +23,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -76,14 +63,13 @@ def build_parser() -> _Parser:
             p.add_argument("--levels", help="comma-separated levels L1,L2,...")
 
     p_dim = sub.add_parser("dim", help="one dimension value")
-    p_dim.add_argument("--family", required=True,
-                       choices=("full", "gamma0", "paramodular", "principal"))
+    p_dim.add_argument("--family", required=True, choices=FAMILIES)
     add_weight_flags(p_dim, single_only=True)
     add_level_flags(p_dim, single_only=True)
+    p_dim.set_defaults(weights=None, levels=None)
 
     p_table = sub.add_parser("table", help="a dimension table")
-    p_table.add_argument("--family", required=True,
-                         choices=("full", "gamma0", "paramodular", "principal"))
+    p_table.add_argument("--family", required=True, choices=FAMILIES)
     add_weight_flags(p_table)
     add_level_flags(p_table)
     p_table.add_argument("--format", default="text", choices=FORMATS)
@@ -119,32 +105,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_dim(args) -> int:
-    family = args.family
-    if family == "full":
-        if args.level is not None:
-            raise InputError("the full modular group takes no level")
-        if args.weight is None:
-            raise InputError("--weight is required")
-        value = dim_full_level(args.weight)
-    elif family == "gamma0":
-        if args.weight is None or args.level is None:
-            raise InputError("--weight and --level are required")
-        value = dim_gamma0(args.weight, args.level)
-    elif family == "paramodular":
-        if args.level is None:
-            raise InputError("--level is required")
-        if args.weight not in (None, 4):
-            raise NotTabulatedError("paramodular dimensions are implemented at weight 4 only")
-        value = dim_paramodular_weight4(args.level)
-    else:
-        if args.weight is None or args.level is None:
-            raise InputError("--weight and --level are required")
-        value = dim_principal_level(args.weight, args.level)
-    print(value)
-    return 0
-
-
 def _resolve_axis(single, many, parse):
     if single is not None and many:
         raise InputError("give either the single flag or the range flag, not both")
@@ -155,15 +115,24 @@ def _resolve_axis(single, many, parse):
     return ()
 
 
-def _cmd_table(args) -> int:
-    spec = TableSpec(
+def _table_spec(args, fmt="text", group_digits=False) -> TableSpec:
+    return TableSpec(
         family=args.family,
         weights=_resolve_axis(args.weight, args.weights, _parse_weights),
         levels=_resolve_axis(args.level, args.levels, _parse_levels),
-        fmt=args.format,
-        group_digits=args.group_digits,
+        fmt=fmt,
+        group_digits=group_digits,
     )
-    sys.stdout.write(emit_table(spec))
+
+
+def _cmd_dim(args) -> int:
+    _, [(_, value)] = build_rows(_table_spec(args))
+    print(value)
+    return 0
+
+
+def _cmd_table(args) -> int:
+    sys.stdout.write(emit_table(_table_spec(args, args.format, args.group_digits)))
     return 0
 
 
@@ -177,8 +146,8 @@ def _cmd_bounds(args) -> int:
         print(lo)
         print(hi)
     else:
-        print(_fraction(pair.lower))
-        print(_fraction(pair.upper))
+        print(pair.lower)
+        print(pair.upper)
     return 0
 
 
@@ -221,29 +190,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_irreps(args) -> int:
-    rows = irreps.table_at(args.prime)
-    fmt = args.format
-    if fmt == "json":
-        print(json.dumps(rows))
-    elif fmt == "csv":
-        print("index,formula,dimension,unitary_relevant")
-        for r in rows:
-            print(f"{r['index']},{r['formula']},{r['dimension']},{str(r['unitary_relevant']).lower()}")
-    elif fmt == "latex":
-        print("\\begin{tabular}{|l|l|l|l|}")
-        print("\\hline")
-        print("index & degree & value & unitary \\\\")
-        print("\\hline\\hline")
-        for r in rows:
-            unitary = "yes" if r["unitary_relevant"] else "no"
-            print(f"$a_{{{r['index']}}}(p)$ & ${r['formula']}$ & {r['dimension']} & {unitary} \\\\")
-        print("\\hline")
-        print("\\end{tabular}")
-    else:
-        width = max(len(r["formula"]) for r in rows)
-        for r in rows:
-            unitary = "" if r["unitary_relevant"] else "  (non-unitary)"
-            print(f"a{r['index']:<3} {r['formula']:<{width}} {r['dimension']}{unitary}")
+    sys.stdout.write(emit_irreps(args.prime, args.format))
     return 0
 
 

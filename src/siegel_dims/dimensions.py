@@ -24,6 +24,7 @@ from .arithmetic import (
     as_integer,
     is_prime,
     legendre_symbol,
+    parse_square_free_level,
     require_prime,
 )
 from .errors import InputError, NotTabulatedError, WeightOutOfRangeError
@@ -195,6 +196,4 @@ def dim_principal_level(k: int, N: int) -> int:
     """
     if is_prime(N):
         return dim_principal_prime(k, N)
-    from .arithmetic import parse_square_free_level
-
     return dim_principal(k, parse_square_free_level(N))

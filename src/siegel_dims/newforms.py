@@ -319,6 +319,10 @@ A14_CANDIDATES = (
 )
 
 
+def _rational_json(q: Fraction) -> dict[str, int]:
+    return {"numerator": q.numerator, "denominator": q.denominator}
+
+
 @dataclass
 class AnalysisReport:
     """Everything ``analyze_level`` can determine about S_k(Gamma(p))."""
@@ -342,14 +346,8 @@ class AnalysisReport:
             "weight": self.weight,
             "prime": self.prime,
             "dimension": self.dimension,
-            "lower_bound": {
-                "numerator": self.bounds.lower.numerator,
-                "denominator": self.bounds.lower.denominator,
-            },
-            "upper_bound": {
-                "numerator": self.bounds.upper.numerator,
-                "denominator": self.bounds.upper.denominator,
-            },
+            "lower_bound": _rational_json(self.bounds.lower),
+            "upper_bound": _rational_json(self.bounds.upper),
             "solution_count": self.solution_count,
         }
         if self.solutions is not None:
@@ -434,7 +432,9 @@ def analyze_level(
             f"the cap of {max_solutions}"
         )
     else:
-        report.solutions = decompose(p, dimension, max_solutions=max_solutions)
+        report.solutions = list(
+            _checked(iter_decompositions(p, dimension), report.solution_count)
+        )
 
     if report.solution_count == 1:
         if report.solutions is None:

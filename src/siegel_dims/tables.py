@@ -1,6 +1,7 @@
-"""Deterministic table rendering in text, csv, json and latex.
+"""The family dispatch, and deterministic rendering of dimension tables and
+character degree tables in text, csv, json and latex.
 
-Output is a pure function of the spec: no locale, no timestamps, big
+Output is a pure function of the arguments: no locale, no timestamps, big
 integers printed without separators except for the optional digit grouping
 in text format.
 """
@@ -10,18 +11,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arithmetic import is_prime, parse_square_free_level
+from .arithmetic import is_prime
 from .dimensions import (
-    GAMMA0_WEIGHT4,
     dim_full_level,
     dim_gamma0,
     dim_paramodular_weight4,
     dim_principal_level,
 )
-from .errors import InputError, NotTabulatedError, WeightOutOfRangeError
+from .errors import InputError, NotTabulatedError
+from .irreps import table_at
 
-FAMILIES = ("full", "gamma0", "paramodular", "principal")
 FORMATS = ("text", "csv", "json", "latex")
+
+# The one dispatch from a family to its formula, as (k, N) -> dim.  Domain
+# checks on k and N are the evaluators' own; ``_validate`` checks only that a
+# spec has the shape its family needs.
+_EVALUATORS = {
+    "full": lambda k, N: dim_full_level(k),
+    "gamma0": dim_gamma0,
+    "paramodular": lambda k, N: dim_paramodular_weight4(N),
+    "principal": dim_principal_level,
+}
+FAMILIES = tuple(_EVALUATORS)
 
 
 @dataclass(frozen=True)
@@ -40,72 +51,29 @@ def _validate(spec: TableSpec) -> None:
         raise InputError(f"unknown format {spec.fmt!r}; choose from {FORMATS}")
     if len(spec.weights) > 1 and len(spec.levels) > 1:
         raise InputError("only one of the weight range and the level range may vary")
-
     if spec.family == "full":
         if spec.levels:
             raise InputError("the full modular group takes no level")
-        if not spec.weights:
-            raise InputError("a weight or weight range is required")
-        for k in spec.weights:
-            if k < 4:
-                raise WeightOutOfRangeError(f"weight must be at least 4, got {k}")
-        return
-
-    if not spec.levels:
-        raise InputError(f"family {spec.family!r} requires a level or level range")
-
-    if spec.family == "gamma0":
-        if len(spec.weights) != 1 or spec.weights[0] not in (1, 4):
-            raise NotTabulatedError("Gamma_0 dimensions are available at weights 1 and 4 only")
-        if spec.weights[0] == 4:
-            bad = [N for N in spec.levels if N not in GAMMA0_WEIGHT4]
-            if bad:
-                raise NotTabulatedError(
-                    f"weight-4 Gamma_0 dimensions cover levels {sorted(GAMMA0_WEIGHT4)}; got {bad}"
-                )
-        else:
-            if any(N < 1 for N in spec.levels):
-                raise InputError("levels must be positive")
-    elif spec.family == "paramodular":
-        if spec.weights and spec.weights != (4,):
-            raise NotTabulatedError("paramodular dimensions are implemented at weight 4 only")
-        bad = [N for N in spec.levels if not is_prime(N)]
-        if bad:
-            raise InputError(f"paramodular levels must be prime; got {bad}")
-    else:  # principal
-        if len(spec.weights) != 1 and len(spec.levels) != 1:
-            raise InputError("fix either one weight or one level")
-        if not spec.weights:
-            raise InputError("a weight or weight range is required")
-        for k in spec.weights:
-            if k < 4:
-                raise WeightOutOfRangeError(f"weight must be at least 4, got {k}")
-        for N in spec.levels:
-            if not is_prime(N):
-                parse_square_free_level(N)  # raises with the offending prime
+    elif not spec.levels:
+        raise InputError(f"family {spec.family!r} requires a level (--level)")
+    if spec.family == "gamma0" and len(spec.weights) != 1:
+        raise InputError("family 'gamma0' takes exactly one weight (--weight)")
+    if spec.family == "paramodular" and spec.weights not in ((), (4,)):
+        raise NotTabulatedError("paramodular dimensions are implemented at weight 4 only")
+    if spec.family in ("full", "principal") and not spec.weights:
+        raise InputError(f"family {spec.family!r} requires a weight (--weight)")
 
 
 def build_rows(spec: TableSpec) -> tuple[str, list[tuple[int, int]]]:
     """Compute (axis name, [(parameter, dimension), ...]) for the spec."""
     _validate(spec)
-    family = spec.family
-
-    if family == "full":
-        return "k", [(k, dim_full_level(k)) for k in spec.weights]
-
-    if len(spec.weights) > 1:  # principal only: weight axis at a fixed level
-        level = spec.levels[0]
-        return "k", [(k, dim_principal_level(k, level)) for k in spec.weights]
-
+    evaluate = _EVALUATORS[spec.family]
+    if len(spec.weights) > 1 or not spec.levels:  # weight axis: full, or one level
+        N = spec.levels[0] if spec.levels else None
+        return "k", [(k, evaluate(k, N)) for k in spec.weights]
     k = spec.weights[0] if spec.weights else 4
     axis = "p" if all(is_prime(N) for N in spec.levels) else "N"
-    if family == "gamma0":
-        rows = [(N, dim_gamma0(k, N)) for N in spec.levels]
-    elif family == "paramodular":
-        rows = [(N, dim_paramodular_weight4(N)) for N in spec.levels]
-    else:
-        rows = [(N, dim_principal_level(k, N)) for N in spec.levels]
-    return axis, rows
+    return axis, [(N, evaluate(k, N)) for N in spec.levels]
 
 
 def _grouped(n: int) -> str:
@@ -140,4 +108,31 @@ def emit_table(spec: TableSpec) -> str:
     wd = max(3, max((len(d) for _, d in body), default=0))
     lines = [f"{axis:>{wa}} {'dim':>{wd}}"]
     lines += [f"{a:>{wa}} {d:>{wd}}" for a, d in body]
+    return "\n".join(lines) + "\n"
+
+
+def emit_irreps(p: int, fmt: str = "text") -> str:
+    """Render the GSp(4,F_p) character degree table at p in one of FORMATS."""
+    if fmt not in FORMATS:
+        raise InputError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    rows = table_at(p)
+    if fmt == "json":
+        return json.dumps(rows) + "\n"
+    if fmt == "csv":
+        lines = ["index,formula,dimension,unitary_relevant"]
+        for r in rows:
+            lines.append(f"{r['index']},{r['formula']},{r['dimension']},{str(r['unitary_relevant']).lower()}")
+    elif fmt == "latex":
+        lines = ["\\begin{tabular}{|l|l|l|l|}", "\\hline", "index & degree & value & unitary \\\\",
+                 "\\hline\\hline"]
+        for r in rows:
+            unitary = "yes" if r["unitary_relevant"] else "no"
+            lines.append(f"$a_{{{r['index']}}}(p)$ & ${r['formula']}$ & {r['dimension']} & {unitary} \\\\")
+        lines += ["\\hline", "\\end{tabular}"]
+    else:
+        width = max(len(r["formula"]) for r in rows)
+        lines = []
+        for r in rows:
+            unitary = "" if r["unitary_relevant"] else "  (non-unitary)"
+            lines.append(f"a{r['index']:<3} {r['formula']:<{width}} {r['dimension']}{unitary}")
     return "\n".join(lines) + "\n"

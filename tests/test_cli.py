@@ -227,3 +227,74 @@ class TestUsageErrors:
         code, _, err = run(capsys, "dim", "--family", "principal", "--weight", "4")
         assert code == 1
         assert "--level" in err
+
+
+# The exact bytes of `irreps --prime 3` in latex and json.
+IRREPS_3_LATEX = (
+    "\\begin{tabular}{|l|l|l|l|}\n"
+    "\\hline\n"
+    "index & degree & value & unitary \\\\\n"
+    "\\hline\\hline\n"
+    "$a_{1}(p)$ & $(p^2+1)(p+1)^2$ & 160 & yes \\\\\n"
+    "$a_{2}(p)$ & $p(p^2+1)(p+1)$ & 120 & yes \\\\\n"
+    "$a_{3}(p)$ & $p^2(p^2+1)$ & 90 & yes \\\\\n"
+    "$a_{4}(p)$ & $p^4$ & 81 & yes \\\\\n"
+    "$a_{5}(p)$ & $p^4-1$ & 80 & yes \\\\\n"
+    "$a_{6}(p)$ & $p^2(p^2-1)$ & 72 & yes \\\\\n"
+    "$a_{7}(p)$ & $(p^2-1)^2$ & 64 & yes \\\\\n"
+    "$a_{8}(p)$ & $p(p^2+1)(p-1)$ & 60 & yes \\\\\n"
+    "$a_{9}(p)$ & $(p^2+1)(p-1)^2$ & 40 & yes \\\\\n"
+    "$a_{10}(p)$ & $(p^2+1)(p+1)$ & 40 & yes \\\\\n"
+    "$a_{11}(p)$ & $p(p^2+1)$ & 30 & yes \\\\\n"
+    "$a_{12}(p)$ & $(p^2+1)(p-1)$ & 20 & yes \\\\\n"
+    "$a_{13}(p)$ & $p(p+1)^2/2$ & 24 & yes \\\\\n"
+    "$a_{14}(p)$ & $p(p^2+1)/2$ & 15 & yes \\\\\n"
+    "$a_{15}(p)$ & $p(p-1)^2/2$ & 6 & yes \\\\\n"
+    "$a_{16}(p)$ & $p^2+1$ & 10 & no \\\\\n"
+    "$a_{17}(p)$ & $p^2-1$ & 8 & no \\\\\n"
+    "\\hline\n"
+    "\\end{tabular}\n"
+)
+
+IRREPS_3_JSON = (
+    '[{"index": 1, "formula": "(p^2+1)(p+1)^2", "dimension": 160, "unitary_relevant": true}, '
+    '{"index": 2, "formula": "p(p^2+1)(p+1)", "dimension": 120, "unitary_relevant": true}, '
+    '{"index": 3, "formula": "p^2(p^2+1)", "dimension": 90, "unitary_relevant": true}, '
+    '{"index": 4, "formula": "p^4", "dimension": 81, "unitary_relevant": true}, '
+    '{"index": 5, "formula": "p^4-1", "dimension": 80, "unitary_relevant": true}, '
+    '{"index": 6, "formula": "p^2(p^2-1)", "dimension": 72, "unitary_relevant": true}, '
+    '{"index": 7, "formula": "(p^2-1)^2", "dimension": 64, "unitary_relevant": true}, '
+    '{"index": 8, "formula": "p(p^2+1)(p-1)", "dimension": 60, "unitary_relevant": true}, '
+    '{"index": 9, "formula": "(p^2+1)(p-1)^2", "dimension": 40, "unitary_relevant": true}, '
+    '{"index": 10, "formula": "(p^2+1)(p+1)", "dimension": 40, "unitary_relevant": true}, '
+    '{"index": 11, "formula": "p(p^2+1)", "dimension": 30, "unitary_relevant": true}, '
+    '{"index": 12, "formula": "(p^2+1)(p-1)", "dimension": 20, "unitary_relevant": true}, '
+    '{"index": 13, "formula": "p(p+1)^2/2", "dimension": 24, "unitary_relevant": true}, '
+    '{"index": 14, "formula": "p(p^2+1)/2", "dimension": 15, "unitary_relevant": true}, '
+    '{"index": 15, "formula": "p(p-1)^2/2", "dimension": 6, "unitary_relevant": true}, '
+    '{"index": 16, "formula": "p^2+1", "dimension": 10, "unitary_relevant": false}, '
+    '{"index": 17, "formula": "p^2-1", "dimension": 8, "unitary_relevant": false}]\n'
+)
+
+
+class TestSingleDispatchPath:
+    @pytest.mark.parametrize("family_flags", [
+        ("--family", "full", "--weight", "20"),
+        ("--family", "gamma0", "--weight", "4", "--level", "11"),
+        ("--family", "paramodular", "--level", "17"),
+        ("--family", "principal", "--weight", "6", "--level", "15"),
+    ])
+    def test_dim_is_the_value_cell_of_a_one_row_table(self, capsys, family_flags):
+        code, out, _ = run(capsys, "dim", *family_flags)
+        assert code == 0
+        code, table, _ = run(capsys, "table", *family_flags, "--format", "csv")
+        assert code == 0
+        header, row = table.splitlines()
+        assert out == row.split(",")[1] + "\n"
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("latex", IRREPS_3_LATEX),
+        ("json", IRREPS_3_JSON),
+    ])
+    def test_irreps_golden_bytes(self, capsys, fmt, expected):
+        assert run(capsys, "irreps", "--prime", "3", "--format", fmt) == (0, expected, "")

@@ -300,3 +300,15 @@ class TestAnalyzeLevel:
         assert "3/32" in text and "5/2" in text
         assert "c14=1" in text
         assert "Saito-Kurokawa" in text
+
+    def test_counts_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return count_decompositions(*args)
+
+        monkeypatch.setattr("siegel_dims.newforms.count_decompositions", counting)
+        report = analyze_level(5, 3)
+        assert report.solution_count == len(report.solutions) == 13
+        assert calls == [(3, 76)]

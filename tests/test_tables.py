@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from siegel_dims import dimensions
+from siegel_dims.arithmetic import parse_square_free_level
 from siegel_dims.errors import InputError, NotTabulatedError, WeightOutOfRangeError
 from siegel_dims.tables import TableSpec, build_rows, emit_table
 
@@ -133,3 +135,15 @@ class TestValidation:
             emit_table(TableSpec("weil", weights=(4,), levels=(3,)))
         with pytest.raises(InputError):
             emit_table(TableSpec("full", weights=(10,), fmt="yaml"))
+
+
+def test_each_composite_level_is_factored_once(monkeypatch):
+    calls = []
+
+    def counting(N):
+        calls.append(N)
+        return parse_square_free_level(N)
+
+    monkeypatch.setattr(dimensions, "parse_square_free_level", counting)
+    emit_table(TableSpec("principal", weights=(4,), levels=(3, 15, 21, 35), fmt="csv"))
+    assert calls == [15, 21, 35]
