@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arithmetic import SquareFreeLevel, require_odd_prime
 from .dimensions import (
@@ -98,24 +99,38 @@ def bounds_squarefree(k: int, level: SquareFreeLevel) -> BoundPair:
 # --- exhaustive decomposition ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """One solution of sum c_n * a_n(p) = target.
 
     ``multiplicities`` maps every index in play (1..15, or 1..17 when the
-    non-unitary rows were included) to its multiplicity, zeros included.  The
-    defining equation is re-checked on construction.
+    non-unitary rows were included) to its multiplicity, zeros included.  A
+    solution is stored as a tuple of counts beside a tuple of indices; the
+    solutions of one walk share the index tuple 1..n, and the dict view is
+    built only when ``multiplicities`` is read.
+
+    The constructor validates: ``__post_init__`` rejects a negative
+    multiplicity, an index outside the table and a sum other than the
+    target.  The walk behind :func:`iter_decompositions` builds its solutions
+    without that method and checks each one with a single dot product
+    against the degree tuple instead.  Instances are immutable, compare by
+    value and are unhashable.
     """
 
-    multiplicities: dict[int, int]
-    prime: int
-    target: int
+    __slots__ = ("_counts", "_indices", "prime", "target")
+
+    def __init__(self, multiplicities: dict[int, int], prime: int, target: int):
+        init = object.__setattr__
+        init(self, "_indices", tuple(multiplicities))
+        init(self, "_counts", tuple(multiplicities.values()))
+        init(self, "prime", prime)
+        init(self, "target", target)
+        self.__post_init__()
 
     def __post_init__(self):
         degrees = degrees_at(self.prime)
         top = len(degrees)
         total = 0
-        for n, c in self.multiplicities.items():
+        for n, c in zip(self._indices, self._counts):
             if c < 0:
                 raise InputError(f"multiplicity c_{n} = {c} is negative")
             if not 1 <= n <= top:
@@ -128,16 +143,46 @@ class Decomposition:
                 f"multiplicities sum to {total}, not the target {self.target}"
             )
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Decomposition, (self.multiplicities, self.prime, self.target)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.multiplicities, self.prime, self.target) == (
+            other.multiplicities,
+            other.prime,
+            other.target,
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(multiplicities={self.multiplicities!r}, "
+            f"prime={self.prime!r}, target={self.target!r})"
+        )
+
+    @property
+    def multiplicities(self) -> dict[int, int]:
+        return dict(zip(self._indices, self._counts))
+
     @property
     def vector(self) -> tuple[int, ...]:
-        return tuple(self.multiplicities[n] for n in sorted(self.multiplicities))
+        return tuple(c for _, c in sorted(zip(self._indices, self._counts)))
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(self.multiplicities.values())
+        return sum(self._counts)
 
     def nonzero(self) -> dict[int, int]:
-        return {n: c for n, c in self.multiplicities.items() if c}
+        return {n: c for n, c in zip(self._indices, self._counts) if c}
 
     def to_text(self) -> str:
         """``c14=1 c15=2`` style, nonzero terms by index; ``trivial`` for 0."""
@@ -146,7 +191,7 @@ class Decomposition:
 
     def to_json_dict(self) -> dict[str, int]:
         """Every index in play as a string key, zeros included."""
-        return {str(n): c for n, c in self.multiplicities.items()}
+        return {str(n): c for n, c in zip(self._indices, self._counts)}
 
 
 def _active_dims(p: int, include_nonunitary: bool) -> tuple[int, ...]:
@@ -215,14 +260,23 @@ def _walk(degrees: tuple[int, ...], p: int, D: int) -> Iterator[Decomposition]:
             r |= r << shift
             shift <<= 1
         reachable[j] = r & mask
-    if not (reachable[0] >> D) & 1:
+    # Written out once, low bit first, so that a probe is one string index
+    # rather than a shift of a (D + 1)-bit integer.
+    reachable = [format(r, f"0{D + 1}b")[::-1] for r in reachable]
+    if reachable[0][D] != "1":
         return
 
     # Depth-first over indices 1..n with c ascending, on an explicit stack.
     # Only reachable remainders are entered, so every node leads to at least
     # one solution and the solutions come out already sorted.  The last
-    # multiplicity is forced: c_n = rest / a_n.
-    indices = range(1, n + 1)
+    # multiplicity is forced: c_n = rest / a_n.  Solutions skip the
+    # validating constructor; one dot product checks each before it leaves.
+    indices = tuple(range(1, n + 1))
+    new = object.__new__
+    set_counts = Decomposition._counts.__set__
+    set_indices = Decomposition._indices.__set__
+    set_prime = Decomposition.prime.__set__
+    set_target = Decomposition.target.__set__
     last = n - 1
     a_last = degrees[last]
     vec = [0] * n
@@ -232,7 +286,7 @@ def _walk(degrees: tuple[int, ...], p: int, D: int) -> Iterator[Decomposition]:
         d = degrees[j]
         suffix = reachable[j + 1]
         rest = rests[j] - c * d
-        while rest >= 0 and not (suffix >> rest) & 1:
+        while rest >= 0 and suffix[rest] != "1":
             rest -= d
             c += 1
         if rest < 0:  # index j is exhausted: back up one index
@@ -248,7 +302,17 @@ def _walk(degrees: tuple[int, ...], p: int, D: int) -> Iterator[Decomposition]:
         else:
             vec[j] = c
             vec[last] = rest // a_last
-            yield Decomposition(dict(zip(indices, vec)), p, D)
+            counts = tuple(vec)
+            if sum(map(mul, counts, degrees)) != D:
+                raise IntegralityError(
+                    f"enumerated multiplicities {counts} do not sum to {D} at p={p}"
+                )
+            sol = new(Decomposition)
+            set_counts(sol, counts)
+            set_indices(sol, indices)
+            set_prime(sol, p)
+            set_target(sol, D)
+            yield sol
             c += 1
 
 

@@ -1,7 +1,11 @@
 """The streaming walk behind ``decompose``: order, completeness, the cost of
-validation, the solution cap, and the streamed CLI output."""
+validation, the tuple-backed ``Decomposition``, the solution cap, and the
+streamed CLI output."""
 
+import copy
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 from functools import cache
 
 import pytest
@@ -95,6 +99,94 @@ class TestDecompositionChecks:
         monkeypatch.setattr(newforms, "count_decompositions", lambda p, D, nu=False: 2)
         with pytest.raises(IntegralityError):
             decompose(3, 15)
+
+
+class TestTrustedConstruction:
+    """Walk-built solutions skip the validating constructor, which therefore
+    serves as the independent oracle for them."""
+
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.integers(min_value=0, max_value=MAX_TARGET),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_public_constructor_rebuilds_every_streamed_solution(
+        self, p, target, include_nonunitary
+    ):
+        for sol in iter_decompositions(p, target, include_nonunitary):
+            rebuilt = Decomposition(sol.multiplicities, p, target)
+            assert rebuilt == sol
+            assert repr(rebuilt) == repr(sol)
+            assert rebuilt.vector == sol.vector
+            assert rebuilt.nonzero() == sol.nonzero()
+            assert rebuilt.to_text() == sol.to_text()
+            assert list(rebuilt.to_json_dict().items()) == list(sol.to_json_dict().items())
+            assert rebuilt.total_multiplicity == sol.total_multiplicity
+
+    def test_walk_checks_each_solution_with_a_dot_product(self):
+        class Skewed(tuple):
+            """Indexing sees the degrees; iteration, as in the dot product,
+            sees each one plus 1."""
+
+            def __iter__(self):
+                return (a + 1 for a in tuple.__iter__(self))
+
+        degrees = degrees_at(3)[:15]
+        assert [s.vector for s in newforms._walk(degrees, 3, 15)] == [(0,) * 13 + (1, 0)]
+        with pytest.raises(IntegralityError, match="do not sum to 15"):
+            next(newforms._walk(Skewed(degrees), 3, 15))
+
+    @pytest.mark.parametrize("target,include_nonunitary", [
+        (4000, False), (4001, True), (6007, False), (7000, False), (7999, False),
+    ])
+    def test_reachability_probes_at_large_targets(self, target, include_nonunitary):
+        vectors = [s.vector for s in iter_decompositions(7, target, include_nonunitary)]
+        assert len(vectors) == count_decompositions(7, target, include_nonunitary)
+        assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+
+class TestDecompositionStorage:
+    def test_key_order_and_subsets(self):
+        sol = Decomposition({15: 2, 14: 0}, 3, 12)
+        assert sol.vector == (0, 2)
+        assert list(sol.to_json_dict().items()) == [("15", 2), ("14", 0)]
+        assert list(sol.multiplicities) == [15, 14]
+        assert sol.nonzero() == {15: 2}
+        assert sol.to_text() == "c15=2"
+        assert sol.total_multiplicity == 2
+        assert sol == Decomposition({14: 0, 15: 2}, 3, 12)
+        assert sol != Decomposition({14: 0, 15: 2, 1: 0}, 3, 12)
+        assert sol != sol.multiplicities
+        assert decompose(3, 76)[0] != decompose(3, 76)[1]
+        assert Decomposition({}, 3, 0).to_text() == "trivial"
+
+    def test_constructor_keeps_no_reference_to_the_mapping(self):
+        counts = {14: 1}
+        sol = Decomposition(counts, 3, 15)
+        counts[14] = 5
+        assert sol.multiplicities == {14: 1}
+        sol.multiplicities[14] = 7
+        assert sol.vector == (1,)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Decomposition({14: 1}, 3, 15),
+        lambda: decompose(3, 15)[0],
+    ], ids=["constructed", "walk-built"])
+    def test_immutable_and_unhashable(self, build):
+        sol = build()
+        for name in ("prime", "target", "multiplicities", "vector", "_counts"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(sol, name, None)
+            with pytest.raises(AttributeError):
+                delattr(sol, name)
+        with pytest.raises(TypeError):
+            hash(sol)
+
+    def test_copies_and_pickles_through_the_constructor(self):
+        sol = decompose(3, 76)[5]
+        for clone in (copy.copy(sol), copy.deepcopy(sol), pickle.loads(pickle.dumps(sol))):
+            assert clone == sol and repr(clone) == repr(sol)
 
 
 class TestSolutionCap:
