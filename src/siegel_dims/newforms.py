@@ -186,8 +186,8 @@ class Decomposition:
 
     def to_text(self) -> str:
         """``c14=1 c15=2`` style, nonzero terms by index; ``trivial`` for 0."""
-        terms = sorted(self.nonzero().items())
-        return " ".join(f"c{n}={c}" for n, c in terms) or "trivial"
+        terms = sorted(zip(self._indices, self._counts))
+        return " ".join([f"c{n}={c}" for n, c in terms if c]) or "trivial"
 
     def to_json_dict(self) -> dict[str, int]:
         """Every index in play as a string key, zeros included."""
@@ -221,15 +221,28 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
 
     Coin-change style dynamic program, one pass per representation index, so
     indices that share a degree (rows 9 and 10 at p = 3) count separately.
+
+    The degrees are added in decreasing 2-adic valuation, ties by decreasing
+    size.  Every degree added before d is then a multiple of 2^v(d), so the
+    table is zero off the multiples of 2^v(d) and the pass for d steps over
+    those sums only.  At odd p only a_4 = p^4 and a_14 = p(p^2+1)/2 are odd,
+    so each of the other passes touches half of the table or less.  The last
+    degree (the smaller odd one) gets no pass: the count is the sum of the
+    table at D, D - last, D - 2*last, ..., that is over the residue class of
+    D modulo last.
     """
     degrees = _active_dims(p, include_nonunitary)
     _check_target(D)
+    *passes, last = sorted(degrees, key=lambda d: (-(d & -d), -d))
     counts = [0] * (D + 1)
     counts[0] = 1
-    for d in degrees:
-        for s in range(d, D + 1):
+    for d in passes:
+        # Sums off the multiples of d & -d are zero before this pass and
+        # stay zero, since s - d is off them too.
+        for s in range(d, D + 1, d & -d):
             counts[s] += counts[s - d]
-    return counts[D]
+    # Each solution is one counted sum D - c*last plus c copies of last.
+    return sum(counts[D % last :: last])
 
 
 def iter_decompositions(

@@ -1,0 +1,91 @@
+"""``count_decompositions`` against a plain coin-change DP and golden counts.
+
+The counting DP adds the degrees in decreasing 2-adic valuation, steps over
+the multiples of 2^v(d) only and closes with a residue-class sum instead of
+a pass over the last degree.  The reference here is the textbook form: one
+full pass per row, in row order.
+"""
+
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from siegel_dims.irreps import degrees_at
+from siegel_dims.newforms import count_decompositions
+
+ODD_PRIMES = (3, 5, 7, 11, 13)
+MAX_TARGET = 20_000
+
+
+@cache
+def reference_table(p, include_nonunitary, top=MAX_TARGET):
+    """counts[D] for every D <= top: 15 (or 17) full passes, rows 1.. in order."""
+    rows = 17 if include_nonunitary else 15
+    counts = [0] * (top + 1)
+    counts[0] = 1
+    for d in degrees_at(p)[:rows]:
+        for s in range(d, top + 1):
+            counts[s] += counts[s - d]
+    return counts
+
+
+@given(
+    st.sampled_from(ODD_PRIMES),
+    st.integers(min_value=0, max_value=MAX_TARGET),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_matches_reference_dp(p, target, include_nonunitary):
+    expected = reference_table(p, include_nonunitary)[target]
+    assert count_decompositions(p, target, include_nonunitary) == expected
+
+
+@pytest.mark.parametrize("include_nonunitary", [False, True])
+@pytest.mark.parametrize("p", ODD_PRIMES)
+class TestEdges:
+    def test_empty_target(self, p, include_nonunitary):
+        assert count_decompositions(p, 0, include_nonunitary) == 1
+
+    def test_every_target_below_the_smallest_degree(self, p, include_nonunitary):
+        rows = 17 if include_nonunitary else 15
+        smallest = min(degrees_at(p)[:rows])
+        below = [count_decompositions(p, D, include_nonunitary) for D in range(1, smallest)]
+        assert below == [0] * (smallest - 1)
+        assert count_decompositions(p, smallest, include_nonunitary) >= 1
+
+    def test_target_equal_to_a1(self, p, include_nonunitary):
+        a1 = degrees_at(p)[0]
+        expected = reference_table(p, include_nonunitary, max(a1, MAX_TARGET))[a1]
+        assert count_decompositions(p, a1, include_nonunitary) == expected
+
+
+@pytest.mark.parametrize("target", [15, 21, 77, 81, 1001, 19999])
+@pytest.mark.parametrize("include_nonunitary", [False, True])
+def test_odd_targets_at_p3(target, include_nonunitary):
+    expected = reference_table(3, include_nonunitary)[target]
+    assert expected > 0
+    assert count_decompositions(3, target, include_nonunitary) == expected
+
+
+def test_rows_with_equal_degrees_count_separately():
+    # a_9(3) = a_10(3) = 40: c_9 = 1 and c_10 = 1 are two solutions.
+    assert degrees_at(3)[8] == degrees_at(3)[9] == 40
+    assert count_decompositions(3, 40) == reference_table(3, False)[40]
+
+
+@pytest.mark.parametrize(
+    "p,target,count",
+    [
+        (3, 709, 8516000),
+        (5, 43680, 405404937212972605),
+        (5, 83005, 2078604125885483496893),
+        (5, 140205, 2597931705199155238239697),
+        (7, 199500, 7426455280596302879),
+    ],
+)
+def test_golden_counts(p, target, count):
+    # dim S_k(Gamma(p)) for (k, p) = (8, 3), (6, 5), (7, 5), (8, 5), (4, 7), with
+    # the counts scripts/newform_report.py printed for them from the row-order DP.
+    assert count_decompositions(p, target) == count
