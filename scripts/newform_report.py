@@ -10,8 +10,9 @@ rational bounds, and the number of decompositions into character degrees
 
 import argparse
 
-from siegel_dims.newforms import MAX_ENUMERATION_TARGET, bounds_prime, count_decompositions
+from siegel_dims.newforms import bounds_prime, count_decompositions
 from siegel_dims.dimensions import dim_principal_prime
+from siegel_dims.errors import TooManySolutionsError
 
 
 def main():
@@ -26,10 +27,10 @@ def main():
         for p in primes:
             dim = dim_principal_prime(k, p)
             pair = bounds_prime(k, p)
-            if dim > MAX_ENUMERATION_TARGET:
-                count = "-"
-            else:
+            try:
                 count = count_decompositions(p, dim)
+            except TooManySolutionsError:
+                count = "-"
             print(f"{k:>3} {p:>3} {dim:>12} {str(pair.lower):>16} {str(pair.upper):>20} {count:>12}")
 
 

@@ -194,21 +194,19 @@ class Decomposition:
         return {str(n): c for n, c in zip(self._indices, self._counts)}
 
 
-def _active_dims(p: int, include_nonunitary: bool) -> tuple[int, ...]:
-    """a_1(p), a_2(p), ... for the indices in play.  The non-unitary rows are
-    the last ones of the table, so leaving them out is a slice."""
+def _degrees_for(p: int, D: int, include_nonunitary: bool) -> tuple[int, ...]:
+    """a_1(p), a_2(p), ... for the indices in play, once p and then D are
+    checked.  The one place the target is held to MAX_ENUMERATION_TARGET.
+    The non-unitary rows are the last ones of the table, so leaving them out
+    is a slice."""
     degrees = degrees_at(p)
-    return degrees if include_nonunitary else degrees[: -len(NON_UNITARY_INDICES)]
-
-
-def _check_target(D: int) -> int:
     if D < 0:
         raise InputError(f"target must be non-negative, got {D}")
     if D > MAX_ENUMERATION_TARGET:
         raise TooManySolutionsError(
             f"target {D} exceeds the enumeration limit {MAX_ENUMERATION_TARGET}"
         )
-    return D
+    return degrees if include_nonunitary else degrees[: -len(NON_UNITARY_INDICES)]
 
 
 def _check_cap(max_solutions: int) -> None:
@@ -231,8 +229,7 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
     table at D, D - last, D - 2*last, ..., that is over the residue class of
     D modulo last.
     """
-    degrees = _active_dims(p, include_nonunitary)
-    _check_target(D)
+    degrees = _degrees_for(p, D, include_nonunitary)
     *passes, last = sorted(degrees, key=lambda d: (-(d & -d), -d))
     counts = [0] * (D + 1)
     counts[0] = 1
@@ -255,33 +252,38 @@ def iter_decompositions(
     There is no solution cap here; :func:`counted_decompositions` and
     :func:`decompose` count first and enforce one.
     """
-    degrees = _active_dims(p, include_nonunitary)
-    _check_target(D)
-    return _walk(degrees, p, D)
+    return _walk(_degrees_for(p, D, include_nonunitary), p, D)
 
 
-def _walk(degrees: tuple[int, ...], p: int, D: int) -> Iterator[Decomposition]:
+def _walk(
+    degrees: tuple[int, ...], p: int, D: int, count: int | None = None
+) -> Iterator[Decomposition]:
+    """The search behind the decomposition streams.
+
+    Given ``count``, the walk counts what it yields and raises
+    :class:`IntegralityError` at its end if it found a different number: the
+    one place the enumeration is checked against the counting DP.
+    """
     n = len(degrees)
-    # reachable[j] = bitset of the sums attainable with degrees[j:].
-    reachable = [0] * (n + 1)
-    reachable[n] = 1
+    # suffix[j] = the sums attainable with degrees[j:], for the rows 1..n-1
+    # that the search probes.  Each is written out once, low bit first, so
+    # that a probe is one string index rather than a shift of a (D + 1)-bit
+    # integer.  The sets nest, so one bitset grows in place as j falls.
+    suffix = [""] * n
     mask = (1 << (D + 1)) - 1
-    for j in range(n - 1, -1, -1):
-        r = reachable[j + 1]
+    r = 1
+    for j in range(n - 1, 0, -1):
         shift = degrees[j]
         while shift <= D:
             r |= r << shift
             shift <<= 1
-        reachable[j] = r & mask
-    # Written out once, low bit first, so that a probe is one string index
-    # rather than a shift of a (D + 1)-bit integer.
-    reachable = [format(r, f"0{D + 1}b")[::-1] for r in reachable]
-    if reachable[0][D] != "1":
-        return
+        r &= mask
+        suffix[j] = format(r, f"0{D + 1}b")[::-1]
 
     # Depth-first over indices 1..n with c ascending, on an explicit stack.
     # Only reachable remainders are entered, so every node leads to at least
-    # one solution and the solutions come out already sorted.  The last
+    # one solution and the solutions come out already sorted; when D itself
+    # is unreachable the scan at index 1 ends after D // a_1 probes.  The last
     # multiplicity is forced: c_n = rest / a_n.  Solutions skip the
     # validating constructor; one dot product checks each before it leaves.
     indices = tuple(range(1, n + 1))
@@ -294,17 +296,18 @@ def _walk(degrees: tuple[int, ...], p: int, D: int) -> Iterator[Decomposition]:
     a_last = degrees[last]
     vec = [0] * n
     rests = [D] * last  # rests[j] = the target left once c_1..c_j are fixed
+    found = 0
     j, c = 0, 0
     while True:
         d = degrees[j]
-        suffix = reachable[j + 1]
+        row = suffix[j + 1]
         rest = rests[j] - c * d
-        while rest >= 0 and suffix[rest] != "1":
+        while rest >= 0 and row[rest] != "1":
             rest -= d
             c += 1
         if rest < 0:  # index j is exhausted: back up one index
             if j == 0:
-                return
+                break
             j -= 1
             c = vec[j] + 1
         elif j + 1 < last:
@@ -325,8 +328,13 @@ def _walk(degrees: tuple[int, ...], p: int, D: int) -> Iterator[Decomposition]:
             set_indices(sol, indices)
             set_prime(sol, p)
             set_target(sol, D)
+            found += 1
             yield sol
             c += 1
+    if count is not None and found != count:
+        raise IntegralityError(
+            f"enumeration found {found} solutions but the count is {count}"
+        )
 
 
 def counted_decompositions(
@@ -341,8 +349,9 @@ def counted_decompositions(
     The count is computed first; if it exceeds ``max_solutions`` a
     :class:`TooManySolutionsError` carrying the exact count is raised before
     any enumeration starts, and a negative cap is an :class:`InputError`.
-    The stream raises :class:`IntegralityError` at its end if it yielded a
-    different number of solutions.
+    The stream is the walk given that count: it raises
+    :class:`IntegralityError` at its end if it yielded a different number of
+    solutions.
     """
     _check_cap(max_solutions)
     count = count_decompositions(p, D, include_nonunitary)
@@ -350,18 +359,7 @@ def counted_decompositions(
         raise TooManySolutionsError(
             f"{count} solutions exceed the cap of {max_solutions}", count=count
         )
-    return count, _checked(iter_decompositions(p, D, include_nonunitary), count)
-
-
-def _checked(solutions: Iterator[Decomposition], count: int) -> Iterator[Decomposition]:
-    found = 0
-    for sol in solutions:
-        found += 1
-        yield sol
-    if found != count:
-        raise IntegralityError(
-            f"enumeration found {found} solutions but the count is {count}"
-        )
+    return count, _walk(_degrees_for(p, D, include_nonunitary), p, D, count)
 
 
 def decompose(
@@ -495,29 +493,27 @@ def analyze_level(
         solutions=None,
     )
 
-    if dimension > MAX_ENUMERATION_TARGET:
+    try:
+        count = count_decompositions(p, dimension)
+    except TooManySolutionsError:
         report.enumeration_note = (
             f"not enumerated: dimension {dimension} exceeds the "
             f"enumeration limit {MAX_ENUMERATION_TARGET}"
         )
         return report
 
-    report.solution_count = count_decompositions(p, dimension)
-    if report.solution_count > max_solutions:
+    report.solution_count = count
+    solutions = _walk(_degrees_for(p, dimension, False), p, dimension, count)
+    if count > max_solutions:
         report.enumeration_note = (
-            f"solution list omitted: {report.solution_count} solutions exceed "
-            f"the cap of {max_solutions}"
+            f"solution list omitted: {count} solutions exceed the cap of {max_solutions}"
         )
     else:
-        report.solutions = list(
-            _checked(iter_decompositions(p, dimension), report.solution_count)
-        )
+        report.solutions = list(solutions)
 
-    if report.solution_count == 1:
-        if report.solutions is None:
-            only = next(iter_decompositions(p, dimension))
-        else:
-            only = report.solutions[0]
+    if count == 1:
+        # Drained even when the list is omitted, so the count check runs.
+        only = (report.solutions or list(solutions))[0]
         report.newform_dimension = only.total_multiplicity
         noun = (
             "a single automorphic representation accounts"

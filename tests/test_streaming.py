@@ -4,9 +4,13 @@ streamed CLI output."""
 
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -257,3 +261,44 @@ def test_cli_count_mismatch_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "decompose", "--prime", 3, "--target", 15)
     assert code == 2
     assert "integrity" in err
+
+
+class TestCountedWalk:
+    """The walk given a count checks its own length; analyze, decompose and
+    the CLI all go through it."""
+
+    def test_count_check_fires_on_a_walk_that_finds_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(newforms, "count_decompositions", lambda p, D, nu=False: 1)
+        with pytest.raises(IntegralityError, match="found 0 solutions but the count is 1"):
+            decompose(3, 1)
+        code, _, err = run(capsys, "decompose", "--prime", 3, "--target", 1)
+        assert code == 2
+        assert "integrity" in err
+
+    def test_analyze_cross_checks_its_count(self, monkeypatch):
+        monkeypatch.setattr(newforms, "count_decompositions", lambda p, D, nu=False: 2)
+        with pytest.raises(IntegralityError, match="found 1 solutions but the count is 2"):
+            analyze_level(4, 3)
+
+    def test_analyze_checks_a_unique_solution_it_does_not_list(self, monkeypatch):
+        monkeypatch.setattr(newforms, "count_decompositions", lambda p, D, nu=False: 1)
+        with pytest.raises(IntegralityError, match="found 13 solutions but the count is 1"):
+            analyze_level(5, 3, max_solutions=0)
+
+    def test_unreachable_large_target(self):
+        assert list(iter_decompositions(47, 10**6)) == []
+        assert count_decompositions(47, 10**6) == 0
+
+
+def test_newform_report_marks_targets_over_the_limit():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "newform_report.py"),
+         "--max-weight", "4", "--primes", "3,11"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    rows = {line.split()[1]: line.split() for line in proc.stdout.splitlines()[1:]}
+    assert rows["3"][-1] == "1"
+    assert rows["11"][-1] == "-"

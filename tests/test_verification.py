@@ -1,6 +1,10 @@
+import dataclasses
 import json
 
+import pytest
+
 from siegel_dims import dimensions
+from siegel_dims import irreps, newforms
 from siegel_dims.verification import run_all_checks
 
 
@@ -60,3 +64,34 @@ def test_corrupted_reference_table_is_caught(monkeypatch):
     monkeypatch.setitem(dimensions.GAMMA0_WEIGHT4, 7, 4)
     report = run_all_checks()
     assert {c.name for c in report.failures} == {"gamma0.weight4.p7"}
+
+
+@pytest.mark.parametrize("row,name", [
+    (11, "irreps.identity.a3_is_p_a11"),
+    (12, "irreps.identity.a8_is_p_a12"),
+    (6, "irreps.identity.a6_is_p2_a17"),
+    (7, "irreps.identity.a7_is_a17_squared"),
+    (16, "irreps.identity.a5_is_a16_a17"),
+])
+def test_corrupted_irreps_row_is_caught(monkeypatch, row, name):
+    # Fault injection: shift one row of the degree table by 2 (keeping its
+    # parity) and exactly the identity that reads it must fail.
+    table = list(irreps.TABLE)
+    entry = table[row - 1]
+    table[row - 1] = dataclasses.replace(entry, numerator=lambda p: entry.numerator(p) + 2)
+    monkeypatch.setattr(irreps, "TABLE", tuple(table))
+    irreps.degrees_at.cache_clear()
+    try:
+        report = run_all_checks()
+    finally:
+        monkeypatch.undo()
+        irreps.degrees_at.cache_clear()
+    assert {c.name for c in report.failures} == {name}
+
+
+def test_count_disagreeing_with_the_walk_is_caught(monkeypatch):
+    count = newforms.count_decompositions
+    monkeypatch.setattr(newforms, "count_decompositions",
+                        lambda p, D, nu=False: count(p, D, nu) + (D == 76))
+    report = run_all_checks()
+    assert {c.name for c in report.failures} == {"newform.count_vs_walk.p3d76"}
