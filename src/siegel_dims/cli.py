@@ -40,12 +40,9 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 def _parse_levels(text: str) -> tuple[int, ...]:
     try:
-        levels = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputError(f"levels must be a comma-separated list of integers, got {text!r}") from None
-    if not levels:
-        raise InputError("empty level list")
-    return levels
 
 
 def build_parser() -> _Parser:

@@ -88,7 +88,7 @@ def bounds_squarefree(k: int, level: SquareFreeLevel) -> BoundPair:
     _require_weight(k, 4)
     dim = dim_principal(k, level)
     primes = level.primes
-    lower_div = sum((p * p + 1) * (p + 1) ** 2 for p in primes)
+    lower_div = sum(irrep_dim(1, p) for p in primes)
     if primes[0] == 3:
         upper_div = 6 + sum(p * p - 1 for p in primes[1:])
     else:

@@ -82,37 +82,28 @@ def run_all_checks() -> VerificationReport:
     checks: list[Check] = []
     add = checks.append
 
-    # Full modular group: table values and low-weight vanishing.
-    for k, want in FULL_LEVEL_TABLE.items():
-        add(_check(f"full_level.k{k}", "Eie closed formula vs reference table",
-                   want, dimensions.dim_full_level(k)))
-    for k in range(4, 10):
-        add(_check(f"full_level.vanishing.k{k}", "space is zero-dimensional below weight 10",
-                   0, dimensions.dim_full_level(k)))
-
-    # Gamma_0: weight-4 table and weight-1 vanishing.
-    for p, want in GAMMA0_WEIGHT4_TABLE.items():
-        add(_check(f"gamma0.weight4.p{p}", "weight-4 reference table (Poor-Yuen)",
-                   want, dimensions.dim_gamma0(4, p)))
-    for N in (1, 2, 15, 360):
-        add(_check(f"gamma0.weight1.N{N}", "weight-1 vanishing (Ibukiyama-Skoruppa)",
-                   0, dimensions.dim_gamma0(1, N)))
-
-    # Paramodular: weight-4 table.
-    for p, want in PARAMODULAR_WEIGHT4_TABLE.items():
-        add(_check(f"paramodular.weight4.p{p}", "weight-4 reference table",
-                   want, dimensions.dim_paramodular_weight4(p)))
-
-    # Principal congruence subgroups: three tables plus the level-15 values.
-    for p, want in PRINCIPAL_WEIGHT4_TABLE.items():
-        add(_check(f"principal.weight4.p{p}", "weight-4 reference table",
-                   want, dimensions.dim_principal_prime(4, p)))
-    for k, want in PRINCIPAL_LEVEL3_TABLE.items():
-        add(_check(f"principal.level3.k{k}", "level-3 reference table",
-                   want, dimensions.dim_principal_prime(k, 3)))
-    for k, want in PRINCIPAL_LEVEL5_TABLE.items():
-        add(_check(f"principal.level5.k{k}", "level-5 reference table",
-                   want, dimensions.dim_principal_prime(k, 5)))
+    # Each reference table against its formula; a table of zeros is a
+    # vanishing statement.
+    for prefix, source, table, formula in (
+        ("full_level.k", "Eie closed formula vs reference table",
+         FULL_LEVEL_TABLE, dimensions.dim_full_level),
+        ("full_level.vanishing.k", "space is zero-dimensional below weight 10",
+         dict.fromkeys(range(4, 10), 0), dimensions.dim_full_level),
+        ("gamma0.weight4.p", "weight-4 reference table (Poor-Yuen)",
+         GAMMA0_WEIGHT4_TABLE, lambda p: dimensions.dim_gamma0(4, p)),
+        ("gamma0.weight1.N", "weight-1 vanishing (Ibukiyama-Skoruppa)",
+         dict.fromkeys((1, 2, 15, 360), 0), lambda N: dimensions.dim_gamma0(1, N)),
+        ("paramodular.weight4.p", "weight-4 reference table",
+         PARAMODULAR_WEIGHT4_TABLE, dimensions.dim_paramodular_weight4),
+        ("principal.weight4.p", "weight-4 reference table",
+         PRINCIPAL_WEIGHT4_TABLE, lambda p: dimensions.dim_principal_prime(4, p)),
+        ("principal.level3.k", "level-3 reference table",
+         PRINCIPAL_LEVEL3_TABLE, lambda k: dimensions.dim_principal_prime(k, 3)),
+        ("principal.level5.k", "level-5 reference table",
+         PRINCIPAL_LEVEL5_TABLE, lambda k: dimensions.dim_principal_prime(k, 5)),
+    ):
+        for x, want in table.items():
+            add(_check(f"{prefix}{x}", source, want, formula(x)))
 
     level15 = parse_square_free_level(15)
     add(_check("principal.level15.quoted", "quoted weight-4 level-15 reference value",
@@ -171,19 +162,11 @@ def run_all_checks() -> VerificationReport:
                True, identity))
 
     odd_primes = [p for p in range(3, 101) if all(p % q for q in range(2, p))]
-    add(_check("irreps.identity.a13_plus_a15",
-               "a_13(p) + a_15(p) = 2 a_14(p) for odd p <= 100", True,
-               all(irreps.irrep_dim(13, p) + irreps.irrep_dim(15, p)
-                   == 2 * irreps.irrep_dim(14, p) for p in odd_primes)))
-    add(_check("irreps.identity.a2_is_p_a10",
-               "a_2(p) = p * a_10(p) for odd p <= 100", True,
-               all(irreps.irrep_dim(2, p) == p * irreps.irrep_dim(10, p)
-                   for p in odd_primes)))
-    add(_check("irreps.identity.a5_is_a4_minus_1",
-               "a_5(p) = a_4(p) - 1 for odd p <= 100", True,
-               all(irreps.irrep_dim(5, p) == irreps.irrep_dim(4, p) - 1
-                   for p in odd_primes)))
     for name, identity, holds in (
+        ("a13_plus_a15", "a_13(p) + a_15(p) = 2 a_14(p)",
+         lambda a, p: a[13] + a[15] == 2 * a[14]),
+        ("a2_is_p_a10", "a_2(p) = p * a_10(p)", lambda a, p: a[2] == p * a[10]),
+        ("a5_is_a4_minus_1", "a_5(p) = a_4(p) - 1", lambda a, p: a[5] == a[4] - 1),
         ("a3_is_p_a11", "a_3(p) = p * a_11(p)", lambda a, p: a[3] == p * a[11]),
         ("a8_is_p_a12", "a_8(p) = p * a_12(p)", lambda a, p: a[8] == p * a[12]),
         ("a6_is_p2_a17", "a_6(p) = p^2 * a_17(p)", lambda a, p: a[6] == p * p * a[17]),
@@ -195,7 +178,7 @@ def run_all_checks() -> VerificationReport:
                    all(holds((0, *irreps.degrees_at(p)), p) for p in odd_primes)))
     add(_check("irreps.halved_rows_integral",
                "rows 13-15 evaluate to integers for odd p <= 100", True,
-               all(irreps.TABLE[n - 1].numerator(p) % 2 == 0
-                   for n in (13, 14, 15) for p in odd_primes)))
+               all(e.numerator(p) % 2 == 0
+                   for e in irreps.TABLE if e.halved for p in odd_primes)))
 
     return VerificationReport(tuple(checks))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from siegel_dims import verification
 from siegel_dims.cli import main
 
 
@@ -183,6 +184,19 @@ class TestTable:
         assert code == 1
         assert "not both" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--family", "full", "--weights", "5"),
+         "weight range must look like A..B, got '5'"),
+        (("--family", "full", "--weights", "a..b"),
+         "weight range must look like A..B, got 'a..b'"),
+        (("--family", "full", "--weights", "6..4"),
+         "empty weight range '6..4'"),
+        (("--family", "principal", "--weight", "4", "--levels", "3,x"),
+         "levels must be a comma-separated list of integers, got '3,x'"),
+    ])
+    def test_axis_parse_errors(self, capsys, flags, message):
+        assert run(capsys, "table", *flags) == (1, "", f"error: {message}\n")
+
 
 class TestVerify:
     def test_passes_with_exit_0(self, capsys):
@@ -200,6 +214,13 @@ class TestVerify:
         payload = json.loads(out1)
         assert payload["overall"] == "pass"
         assert payload["total"] >= 50
+
+    def test_failed_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setitem(verification.FULL_LEVEL_TABLE, 10, 2)
+        code, out, err = run(capsys, "verify")
+        assert code == 2
+        assert "FAIL full_level.k10" in out
+        assert err == "1 reference check(s) failed\n"
 
 
 class TestUsageErrors:

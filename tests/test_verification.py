@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -95,3 +96,22 @@ def test_count_disagreeing_with_the_walk_is_caught(monkeypatch):
                         lambda p, D, nu=False: count(p, D, nu) + (D == 76))
     report = run_all_checks()
     assert {c.name for c in report.failures} == {"newform.count_vs_walk.p3d76"}
+
+
+def test_report_bytes_are_pinned():
+    # The check list, names, sources and order are fixed, so are the bytes.
+    report = run_all_checks()
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == (
+        "df87811b9a4f8c34565242e40771f3ff1598ba0cff0eedba46c941c7e284f29b")
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "91110b686bd45be648a778bd6513ba82f47a89dac8c99d1e401d04dd17c02108")
+
+
+@pytest.mark.parametrize("row,name", [
+    (13, "irreps.identity.a13_plus_a15"),
+    (10, "irreps.identity.a2_is_p_a10"),
+    (4, "irreps.identity.a5_is_a4_minus_1"),
+])
+def test_corrupted_row_fails_its_identity(monkeypatch, row, name):
+    # The remaining identity rows, injected the same way as above.
+    test_corrupted_irreps_row_is_caught(monkeypatch, row, name)
