@@ -10,9 +10,7 @@ rational bounds, and the number of decompositions into character degrees
 
 import argparse
 
-from siegel_dims.newforms import bounds_prime, count_decompositions
-from siegel_dims.dimensions import dim_principal_prime
-from siegel_dims.errors import TooManySolutionsError
+from siegel_dims.newforms import analyze_level
 
 
 def main():
@@ -25,13 +23,11 @@ def main():
     print(f"{'k':>3} {'p':>3} {'dim':>12} {'lower':>16} {'upper':>20} {'solutions':>12}")
     for k in range(4, args.max_weight + 1):
         for p in primes:
-            dim = dim_principal_prime(k, p)
-            pair = bounds_prime(k, p)
-            try:
-                count = count_decompositions(p, dim)
-            except TooManySolutionsError:
-                count = "-"
-            print(f"{k:>3} {p:>3} {dim:>12} {str(pair.lower):>16} {str(pair.upper):>20} {count:>12}")
+            report = analyze_level(k, p, max_solutions=0)
+            pair = report.bounds
+            count = "-" if report.solution_count is None else report.solution_count
+            print(f"{k:>3} {p:>3} {report.dimension:>12} {str(pair.lower):>16} "
+                  f"{str(pair.upper):>20} {count:>12}")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,9 @@ from .arithmetic import is_prime, parse_square_free_level
 from .errors import InputError, IntegralityError
 from .tables import FAMILIES, FORMATS, TableSpec, build_rows, emit_irreps, emit_table
 
+# The longest --weights range a table accepts, checked before the range is built.
+MAX_TABLE_WEIGHTS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -26,15 +29,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise InputError(f"weight range must look like A..B, got {text!r}")
     try:
-        a, b = int(lo), int(hi)
-    except ValueError:
+        a, b = map(int, text.split(".."))
+    except ValueError:  # not two parts, or a part that is not an integer
         raise InputError(f"weight range must look like A..B, got {text!r}") from None
     if a > b:
         raise InputError(f"empty weight range {text!r}")
+    if b - a + 1 > MAX_TABLE_WEIGHTS:
+        raise InputError(
+            f"weight range {text!r} has {b - a + 1} weights; "
+            f"at most {MAX_TABLE_WEIGHTS} are allowed"
+        )
     return tuple(range(a, b + 1))
 
 

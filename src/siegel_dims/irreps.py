@@ -13,9 +13,9 @@ representation indices, never with bare degree values.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 from .arithmetic import require_odd_prime
 from .errors import IndexOutOfRangeError, IntegralityError

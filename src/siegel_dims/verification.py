@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import dimensions, irreps, newforms
 from .arithmetic import parse_square_free_level
+from .errors import IntegralityError
 
 REPORT_VERSION = 1
 
@@ -151,12 +152,17 @@ def run_all_checks() -> VerificationReport:
                "product formula at a single prime equals the prime formula (k 4..30)",
                True, consistent))
 
-    identity = all(
-        newforms.bounds_prime(k, p).lower * irreps.irrep_dim(1, p)
-        == dimensions.dim_principal_prime(k, p)
-        for k in range(4, 21)
-        for p in (3, 5, 7, 11, 13)
-    )
+    try:
+        identity = all(
+            newforms.bounds_prime(k, p).lower * irreps.irrep_dim(1, p)
+            == dimensions.dim_principal_prime(k, p)
+            for k in range(4, 21)
+            for p in (3, 5, 7, 11, 13)
+        )
+    except IntegralityError:
+        # bounds_prime checks the same identity on every call and raises on a
+        # mismatch; here that mismatch is this check failing.
+        identity = False
     add(_check("consistency.lower_times_a1",
                "lower bound times a_1(p) recovers the dimension (k 4..20)",
                True, identity))

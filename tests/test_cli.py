@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from siegel_dims import verification
-from siegel_dims.cli import main
+from siegel_dims import newforms, verification
+from siegel_dims.cli import MAX_TABLE_WEIGHTS, main
 
 
 def run(capsys, *argv):
@@ -197,6 +197,17 @@ class TestTable:
     def test_axis_parse_errors(self, capsys, flags, message):
         assert run(capsys, "table", *flags) == (1, "", f"error: {message}\n")
 
+    def test_weight_range_at_the_bound_renders(self, capsys):
+        code, out, err = run(capsys, "table", "--family", "full", "--weights", "4..10003")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + MAX_TABLE_WEIGHTS
+
+    @pytest.mark.parametrize("weights, count", [("4..10004", 10001), ("4..1000000000", 999999997)])
+    def test_weight_range_over_the_bound_is_refused(self, capsys, weights, count):
+        assert run(capsys, "table", "--family", "full", "--weights", weights) == (
+            1, "", f"error: weight range {weights!r} has {count} weights; "
+                   "at most 10000 are allowed\n")
+
 
 class TestVerify:
     def test_passes_with_exit_0(self, capsys):
@@ -220,6 +231,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify")
         assert code == 2
         assert "FAIL full_level.k10" in out
+        assert err == "1 reference check(s) failed\n"
+
+    def test_bounds_identity_failure_exits_2_with_a_report(self, capsys, monkeypatch):
+        dim = newforms.dim_principal_prime
+        monkeypatch.setattr(newforms, "dim_principal_prime",
+                            lambda k, p: dim(k, p) + ((k, p) == (20, 13)))
+        code, out, err = run(capsys, "verify")
+        assert code == 2
+        assert "FAIL consistency.lower_times_a1" in out
         assert err == "1 reference check(s) failed\n"
 
 

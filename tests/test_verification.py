@@ -115,3 +115,13 @@ def test_report_bytes_are_pinned():
 def test_corrupted_row_fails_its_identity(monkeypatch, row, name):
     # The remaining identity rows, injected the same way as above.
     test_corrupted_irreps_row_is_caught(monkeypatch, row, name)
+
+
+def test_bounds_identity_failure_is_reported_by_name(monkeypatch):
+    # bounds_prime checks lower * a_1 = dim itself and raises on a mismatch;
+    # run_all_checks reports that as its own check failing, not as a fault.
+    dim = newforms.dim_principal_prime
+    monkeypatch.setattr(newforms, "dim_principal_prime",
+                        lambda k, p: dim(k, p) + ((k, p) == (20, 13)))
+    report = run_all_checks()
+    assert {c.name for c in report.failures} == {"consistency.lower_times_a1"}
