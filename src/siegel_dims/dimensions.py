@@ -188,12 +188,18 @@ def dim_principal(k: int, level: SquareFreeLevel, *, formula_only: bool = False)
     return as_integer(value, f"dim S_{k}(Gamma({N}))")
 
 
+def _principal_at(N: int):
+    """k -> dim S_k(Gamma(N)), with the raw level N checked and factored once."""
+    if is_prime(N):
+        return lambda k: dim_principal_prime(k, N)
+    level = parse_square_free_level(N)
+    return lambda k: dim_principal(k, level)
+
+
 def dim_principal_level(k: int, N: int) -> int:
     """dim S_k(Gamma(N)) for a raw integer level.
 
     Prime levels (including 2) go through the prime formula; composite levels
     must be odd and square-free.
     """
-    if is_prime(N):
-        return dim_principal_prime(k, N)
-    return dim_principal(k, parse_square_free_level(N))
+    return _principal_at(N)(k)

@@ -85,7 +85,6 @@ def bounds_squarefree(k: int, level: SquareFreeLevel) -> BoundPair:
     when 3 | N (the sorted-prime convention makes p_1 = 3 in that case) and
     sum (p_i^2 - 1) when 3 does not divide N.
     """
-    _require_weight(k, 4)
     dim = dim_principal(k, level)
     primes = level.primes
     lower_div = sum(irrep_dim(1, p) for p in primes)

@@ -11,26 +11,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arithmetic import is_prime
+from .arithmetic import PRIMALITY_CERTIFIED_BOUND, is_prime
 from .dimensions import (
+    _principal_at,
     dim_full_level,
     dim_gamma0,
     dim_paramodular_weight4,
-    dim_principal_level,
 )
 from .errors import InputError, NotTabulatedError
 from .irreps import table_at
 
 FORMATS = ("text", "csv", "json", "latex")
 
-# The one dispatch from a family to its formula, as (k, N) -> dim.  Domain
-# checks on k and N are the evaluators' own; ``_validate`` checks only that a
-# spec has the shape its family needs.
+# The one dispatch from a family to its formula: each entry maps a level
+# (``None`` for ``full``) to k -> dim, so a level is checked and factored once
+# per table.  Domain checks on k and N are the evaluators' own; ``_validate``
+# checks only that a spec has the shape its family needs.
 _EVALUATORS = {
-    "full": lambda k, N: dim_full_level(k),
-    "gamma0": dim_gamma0,
-    "paramodular": lambda k, N: dim_paramodular_weight4(N),
-    "principal": dim_principal_level,
+    "full": lambda N: dim_full_level,
+    "gamma0": lambda N: lambda k: dim_gamma0(k, N),
+    "paramodular": lambda N: lambda k: dim_paramodular_weight4(N),
+    "principal": _principal_at,
 }
 FAMILIES = tuple(_EVALUATORS)
 
@@ -67,13 +68,16 @@ def _validate(spec: TableSpec) -> None:
 def build_rows(spec: TableSpec) -> tuple[str, list[tuple[int, int]]]:
     """Compute (axis name, [(parameter, dimension), ...]) for the spec."""
     _validate(spec)
-    evaluate = _EVALUATORS[spec.family]
+    at_level = _EVALUATORS[spec.family]
     if len(spec.weights) > 1 or not spec.levels:  # weight axis: full, or one level
-        N = spec.levels[0] if spec.levels else None
-        return "k", [(k, evaluate(k, N)) for k in spec.weights]
+        evaluate = at_level(spec.levels[0] if spec.levels else None)
+        return "k", [(k, evaluate(k)) for k in spec.weights]
     k = spec.weights[0] if spec.weights else 4
-    axis = "p" if all(is_prime(N) for N in spec.levels) else "N"
-    return axis, [(N, evaluate(k, N)) for N in spec.levels]
+    rows = [(N, at_level(N)(k)) for N in spec.levels]
+    # A level at or above the certified bound is labelled not prime, so the
+    # label never refuses a level its family has answered.
+    prime = all(N < PRIMALITY_CERTIFIED_BOUND and is_prime(N) for N in spec.levels)
+    return ("p" if prime else "N"), rows
 
 
 def _grouped(n: int) -> str:

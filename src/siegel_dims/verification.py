@@ -142,11 +142,11 @@ def run_all_checks() -> VerificationReport:
                newforms.TAU_COMPONENT, report43.local_component))
 
     # Aggregate identities.
+    levels = {p: parse_square_free_level(p) for p in (3, 5, 7, 11, 13, 17)}
     consistent = all(
-        dimensions.dim_principal(k, parse_square_free_level(p))
-        == dimensions.dim_principal_prime(k, p)
+        dimensions.dim_principal(k, level) == dimensions.dim_principal_prime(k, p)
         for k in range(4, 31)
-        for p in (3, 5, 7, 11, 13, 17)
+        for p, level in levels.items()
     )
     add(_check("consistency.prime_vs_product",
                "product formula at a single prime equals the prime formula (k 4..30)",

@@ -339,3 +339,36 @@ class TestSingleDispatchPath:
     ])
     def test_irreps_golden_bytes(self, capsys, fmt, expected):
         assert run(capsys, "irreps", "--prime", "3", "--format", fmt) == (0, expected, "")
+
+
+class TestLevelsPastTheCertifiedBound:
+    """Weight-1 gamma0 vanishes at every level, so a level no primality test
+    can certify is still answered; the other families still need the test."""
+
+    BIG = str(10**25)
+
+    def test_gamma0_weight1_dim_is_zero(self, capsys):
+        assert run(capsys, "dim", "--family", "gamma0", "--weight", "1", "--level", self.BIG) == (
+            0, "0\n", "")
+
+    @pytest.mark.parametrize("levels", [f"{10**25},15", f"15,{10**25}"])
+    def test_gamma0_weight1_table_is_labelled_N_in_the_given_order(self, capsys, levels):
+        code, out, err = run(capsys, "table", "--family", "gamma0", "--weight", "1",
+                             "--levels", levels, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "N,dim\n" + "".join(f"{N},0\n" for N in levels.split(","))
+
+    def test_gamma0_weight4_is_not_available(self, capsys):
+        code, out, err = run(capsys, "dim", "--family", "gamma0", "--weight", "4",
+                             "--level", self.BIG)
+        assert (code, out) == (1, "")
+        assert "is not available" in err
+
+    @pytest.mark.parametrize("family_flags", [
+        ("--family", "principal", "--weight", "4"),
+        ("--family", "paramodular"),
+    ])
+    def test_other_families_still_refuse(self, capsys, family_flags):
+        assert run(capsys, "dim", *family_flags, "--level", self.BIG) == (
+            1, "", "error: primality is only certified below "
+                   f"3317044064679887385961981; got {self.BIG}\n")

@@ -1,8 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegel_dims import dimensions
+from siegel_dims.arithmetic import is_prime
 from siegel_dims.arithmetic import parse_square_free_level
 from siegel_dims.errors import InputError, NotTabulatedError, WeightOutOfRangeError
 from siegel_dims.tables import TableSpec, build_rows, emit_table
@@ -147,3 +151,76 @@ def test_each_composite_level_is_factored_once(monkeypatch):
     monkeypatch.setattr(dimensions, "parse_square_free_level", counting)
     emit_table(TableSpec("principal", weights=(4,), levels=(3, 15, 21, 35), fmt="csv"))
     assert calls == [15, 21, 35]
+
+
+def test_weight_axis_table_factors_its_level_once(monkeypatch):
+    calls = []
+
+    def counting(N):
+        calls.append(N)
+        return parse_square_free_level(N)
+
+    monkeypatch.setattr(dimensions, "parse_square_free_level", counting)
+    N = 1000003 * 1000033
+    emit_table(TableSpec("principal", weights=tuple(range(4, 14)), levels=(N,)))
+    assert calls == [N]
+
+
+# --- build_rows against per-cell calls of the public formulas ------------------
+
+SMALL_ODD_PRIMES = [p for p in range(3, 100) if all(p % q for q in range(2, p))]
+COMPOSITE_LEVELS = st.lists(
+    st.sampled_from(SMALL_ODD_PRIMES), min_size=2, max_size=3, unique=True
+).map(math.prod)
+PRINCIPAL_LEVELS = st.one_of(st.sampled_from(SMALL_ODD_PRIMES), COMPOSITE_LEVELS)
+LEVEL_LISTS = {
+    "gamma0 weight 4": st.lists(st.sampled_from(sorted(dimensions.GAMMA0_WEIGHT4)),
+                                min_size=1, max_size=6),
+    "gamma0 weight 1": st.lists(st.integers(1, 10**6), min_size=1, max_size=6),
+    "paramodular": st.lists(st.sampled_from([2] + SMALL_ODD_PRIMES), min_size=1, max_size=6),
+    "principal": st.lists(PRINCIPAL_LEVELS, min_size=1, max_size=6),
+}
+
+
+@st.composite
+def one_axis_specs(draw):
+    """(spec, formula as (k, N) -> dim) for a valid spec with at most one varying axis."""
+    case = draw(st.sampled_from(
+        ["full", "gamma0 weight 4", "gamma0 weight 1", "paramodular",
+         "principal levels", "principal weights"]))
+    if case == "full":
+        start = draw(st.integers(4, 200))
+        weights = tuple(range(start, start + draw(st.integers(1, 12))))
+        return TableSpec("full", weights=weights), lambda k, N: dimensions.dim_full_level(k)
+    if case.startswith("gamma0"):
+        k = 4 if case.endswith("4") else 1
+        levels = tuple(draw(LEVEL_LISTS[case]))
+        return TableSpec("gamma0", weights=(k,), levels=levels), dimensions.dim_gamma0
+    if case == "paramodular":
+        weights = draw(st.sampled_from([(), (4,)]))
+        levels = tuple(draw(LEVEL_LISTS["paramodular"]))
+        return (TableSpec("paramodular", weights=weights, levels=levels),
+                lambda k, N: dimensions.dim_paramodular_weight4(N))
+    if case == "principal levels":
+        levels = tuple(draw(LEVEL_LISTS["principal"]))
+        spec = TableSpec("principal", weights=(draw(st.integers(4, 30)),), levels=levels)
+    else:
+        start = draw(st.integers(4, 30))
+        weights = tuple(range(start, start + draw(st.integers(2, 12))))
+        spec = TableSpec("principal", weights=weights, levels=(draw(PRINCIPAL_LEVELS),))
+    return spec, dimensions.dim_principal_level
+
+
+@given(one_axis_specs())
+@settings(max_examples=200, deadline=None)
+def test_rows_are_the_per_cell_formula_values(case):
+    spec, formula = case
+    axis, rows = build_rows(spec)
+    if len(spec.weights) > 1 or not spec.levels:
+        N = spec.levels[0] if spec.levels else None
+        assert axis == "k"
+        assert rows == [(k, formula(k, N)) for k in spec.weights]
+    else:
+        k = spec.weights[0] if spec.weights else 4
+        assert axis == ("p" if all(is_prime(N) for N in spec.levels) else "N")
+        assert rows == [(N, formula(k, N)) for N in spec.levels]
