@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import newforms, verification
 from .arithmetic import is_prime, parse_square_free_level
@@ -48,6 +49,24 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputError(f"levels must be a comma-separated list of integers, got {text!r}") from None
+
+
+@contextmanager
+def _unlimited_digits():
+    """Print integers of any width: lift the int-to-str digit limit of
+    Python 3.10.7+ (4300 digits by default) for the block and restore it
+    after.  Handlers enter it only once the user's input is parsed, so
+    ``int()`` of a flag keeps its guard; interpreters without the limit have
+    nothing to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def build_parser() -> _Parser:
@@ -128,13 +147,17 @@ def _table_spec(args, fmt="text", group_digits=False) -> TableSpec:
 
 
 def _cmd_dim(args) -> int:
-    _, [(_, value)] = build_rows(_table_spec(args))
-    print(value)
+    spec = _table_spec(args)
+    with _unlimited_digits():
+        _, [(_, value)] = build_rows(spec)
+        print(value)
     return 0
 
 
 def _cmd_table(args) -> int:
-    sys.stdout.write(emit_table(_table_spec(args, args.format, args.group_digits)))
+    spec = _table_spec(args, args.format, args.group_digits)
+    with _unlimited_digits():
+        sys.stdout.write(emit_table(spec))
     return 0
 
 
@@ -143,13 +166,14 @@ def _cmd_bounds(args) -> int:
         pair = newforms.bounds_prime(args.weight, args.level)
     else:
         pair = newforms.bounds_squarefree(args.weight, parse_square_free_level(args.level))
-    if args.integer_envelope:
-        lo, hi = pair.integer_envelope()
-        print(lo)
-        print(hi)
-    else:
-        print(pair.lower)
-        print(pair.upper)
+    with _unlimited_digits():
+        if args.integer_envelope:
+            lo, hi = pair.integer_envelope()
+            print(lo)
+            print(hi)
+        else:
+            print(pair.lower)
+            print(pair.upper)
     return 0
 
 
@@ -183,11 +207,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    report = newforms.analyze_level(args.weight, args.prime, max_solutions=args.max_solutions)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(report.to_text())
+    with _unlimited_digits():
+        report = newforms.analyze_level(args.weight, args.prime, max_solutions=args.max_solutions)
+        if args.format == "json":
+            print(json.dumps(report.to_json_dict()))
+        else:
+            print(report.to_text())
     return 0
 
 

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from siegel_dims import newforms, verification
-from siegel_dims.cli import MAX_TABLE_WEIGHTS, main
+from siegel_dims.cli import MAX_TABLE_WEIGHTS, _unlimited_digits, main
+from siegel_dims.dimensions import dim_full_level
 
 
 def run(capsys, *argv):
@@ -372,3 +374,49 @@ class TestLevelsPastTheCertifiedBound:
         assert run(capsys, "dim", *family_flags, "--level", self.BIG) == (
             1, "", "error: primality is only certified below "
                    f"3317044064679887385961981; got {self.BIG}\n")
+
+
+def test_decompose_at_the_enumeration_limit_refuses_on_the_count(capsys):
+    assert run(capsys, "decompose", "--prime", "3", "--target", "10000000") == (
+        1, "", "error: 178796249206356953428924790656618692009243404948902395254082114 "
+                "solutions exceed the cap of 1000000\n")
+
+
+class TestAnswersWiderThan4300Digits:
+    """Python 3.10.7+ refuses int-to-str conversions past 4300 digits by
+    default; answers print in full, while parsing the flags keeps the guard."""
+
+    HUGE = str(10**1500)
+
+    @staticmethod
+    def widest_integer(text):
+        return max(len(word) for word in text.replace("/", " ").replace(",", " ").split())
+
+    @pytest.mark.parametrize("argv", [
+        ("dim", "--family", "full", "--weight", HUGE),
+        ("table", "--family", "full", "--weight", HUGE, "--format", "csv"),
+        ("bounds", "--weight", HUGE, "--level", "3"),
+        ("bounds", "--weight", HUGE, "--level", "15", "--integer-envelope"),
+        ("analyze", "--weight", HUGE, "--prime", "3"),
+        ("analyze", "--weight", HUGE, "--prime", "3", "--format", "json"),
+    ])
+    def test_answer_is_printed(self, capsys, argv):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert self.widest_integer(out) > 4300
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+
+    def test_dim_is_exact(self, capsys):
+        with _unlimited_digits():
+            expected = f"{dim_full_level(int(self.HUGE))}\n"
+        assert run(capsys, "dim", "--family", "full", "--weight", self.HUGE) == (0, expected, "")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.10.7")
+    def test_parsing_a_flag_keeps_the_guard(self, capsys):
+        code, out, err = run(capsys, "table", "--family", "gamma0", "--weight", "1",
+                             "--levels", "9" * 5000)
+        assert (code, out) == (1, "")
+        assert "comma-separated list of integers" in err

@@ -1,11 +1,13 @@
 """``count_decompositions`` against a plain coin-change DP and golden counts.
 
-The counting DP adds the degrees in decreasing 2-adic valuation, steps over
-the multiples of 2^v(d) only and closes with a residue-class sum instead of
-a pass over the last degree.  The reference here is the textbook form: one
+Below the sum of the degrees the counting DP adds the degrees in decreasing
+2-adic valuation, steps over the multiples of 2^v(d) only and closes with a
+residue-class sum instead of a pass over the last degree; from that sum up
+it halves the target instead.  The reference here is the textbook form: one
 full pass per row, in row order.
 """
 
+import random
 from functools import cache
 
 import pytest
@@ -89,3 +91,62 @@ def test_golden_counts(p, target, count):
     # dim S_k(Gamma(p)) for (k, p) = (8, 3), (6, 5), (7, 5), (8, 5), (4, 7), with
     # the counts scripts/newform_report.py printed for them from the row-order DP.
     assert count_decompositions(p, target) == count
+
+
+# --- the halving path: targets at or above the sum of the degrees ------------
+
+# How far above the degree sum the seeded targets at p = 11 and 13 reach.
+ABOVE_THE_SUM = 500
+
+
+def degree_sum(p, include_nonunitary):
+    return sum(degrees_at(p)[: 17 if include_nonunitary else 15])
+
+
+def halving_table(p, include_nonunitary):
+    """Reference counts up to 3 times the degree sum for p <= 7, and up to
+    ABOVE_THE_SUM past it for the larger primes, where a full table to 3
+    times the sum would cost seconds."""
+    total = degree_sum(p, include_nonunitary)
+    top = 3 * total if p <= 7 else total + ABOVE_THE_SUM
+    return reference_table(p, include_nonunitary, top)
+
+
+@given(st.sampled_from((3, 5, 7)), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_halving_matches_reference_dp(p, include_nonunitary, data):
+    total = degree_sum(p, include_nonunitary)
+    target = data.draw(st.integers(min_value=total, max_value=3 * total))
+    expected = halving_table(p, include_nonunitary)[target]
+    assert count_decompositions(p, target, include_nonunitary) == expected
+
+
+@pytest.mark.parametrize("include_nonunitary", [False, True])
+@pytest.mark.parametrize("p", [11, 13])
+def test_halving_just_above_the_degree_sum(p, include_nonunitary):
+    total = degree_sum(p, include_nonunitary)
+    rng = random.Random(1000 * p + include_nonunitary)
+    targets = rng.sample(range(total + 1, total + ABOVE_THE_SUM + 1), 4)
+    table = halving_table(p, include_nonunitary)
+    assert [count_decompositions(p, D, include_nonunitary) for D in targets] == [
+        table[D] for D in targets
+    ]
+
+
+@pytest.mark.parametrize("include_nonunitary", [False, True])
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_crossover_between_the_two_methods(p, include_nonunitary):
+    total = degree_sum(p, include_nonunitary)
+    table = halving_table(p, include_nonunitary)
+    targets = (total - 1, total, total + 1)
+    assert [count_decompositions(p, D, include_nonunitary) for D in targets] == [
+        table[D] for D in targets
+    ]
+
+
+def test_count_at_the_enumeration_limit():
+    # The dynamic program's count for the largest accepted target, as
+    # `decompose --prime 3 --target 10000000` printed it before refusing.
+    assert count_decompositions(3, 10**7) == (
+        178796249206356953428924790656618692009243404948902395254082114
+    )
