@@ -218,62 +218,40 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
 
     The count is [x^D] 1 / prod_n (1 - x^(a_n)), one factor per
     representation index, so indices that share a degree (rows 9 and 10 at
-    p = 3) count separately.  Two exact methods compute it, chosen by one
-    test: halving the target when D >= sum a_n, a dynamic program over the
-    sums 0..D below that, where the table is short and up to twice as fast.
+    p = 3) count separately.  It is computed by halving the target (Bostan
+    and Mori's N-th term step, specialised to binomial denominators), which
+    is exact for every D >= 0.
 
-    Halving (Bostan and Mori's N-th term step, specialised to binomial
-    denominators) keeps a numerator P, starting at 1, and the list of
-    exponents b of the denominator.  While D > 0 it multiplies P by (1 + x^b)
-    for each odd b <= D, truncated to degree D, keeps the coefficients of P
-    whose exponent has the parity of D, halves every even b and sets
-    D //= 2; the count is then P[0], or 0 once the slice leaves P empty.
-    The step is exact because (1 - x^b)(1 + x^b) = 1 - x^(2b): afterwards
-    the denominator is a function of x^2, and so is each even factor
-    1 - x^b already, so [x^D] of the quotient is [y^(D // 2)] of the kept
-    coefficients over the halved denominator.  An odd b > D is left alone; its factor adds nothing at or
-    below D, now or after any later step.  Each step lengthens P by at most
-    sum a_n before the parity slice halves it, so P holds O(sum a_n)
-    integers whatever D is, and the count costs about
-    15 * sum a_n * log2(D) additions (17 with the non-unitary rows).
-
-    The dynamic program adds the degrees in decreasing 2-adic valuation,
-    ties by decreasing size.  Every degree added before d is then a multiple
-    of 2^v(d), so the table is zero off the multiples of 2^v(d) and the pass
-    for d steps over those sums only.  At odd p only a_4 = p^4 and
-    a_14 = p(p^2+1)/2 are odd, so each of the other passes touches half of
-    the table or less.  The last degree (the smaller odd one) gets no pass:
-    the count is the sum of the table at D, D - last, D - 2*last, ..., that
-    is over the residue class of D modulo last.
+    The method keeps a numerator P, starting at 1, and the list of exponents
+    b of the denominator.  While D > 0 it multiplies P by (1 + x^b) for each
+    odd b <= D, truncated to degree D, keeps the coefficients of P whose
+    exponent has the parity of D, halves every even b and sets D //= 2; the
+    count is then P[0], or 0 once the slice leaves P empty.  The step is
+    exact because (1 - x^b)(1 + x^b) = 1 - x^(2b): afterwards the
+    denominator is a function of x^2, and so is each even factor 1 - x^b
+    already, so [x^D] of the quotient is [y^(D // 2)] of the kept
+    coefficients over the halved denominator.  An odd b > D is left alone;
+    its factor adds nothing at or below D, now or after any later step.
+    Each step lengthens P by at most sum a_n, and never past degree D,
+    before the parity slice halves it, so P holds O(min(D, sum a_n))
+    integers, and the count costs at most about 15 * sum a_n * log2(D)
+    additions (17 with the non-unitary rows).
     """
-    degrees = _degrees_for(p, D, include_nonunitary)
-    if D >= sum(degrees):
-        exponents = degrees
-        numerator = [1]
-        while D:
-            for b in exponents:
-                if b & 1 and b <= D:
-                    n = min(len(numerator) + b, D + 1)
-                    numerator += [0] * (n - len(numerator))
-                    # Both slices on the right are copies: old coefficients.
-                    numerator[b:] = map(add, numerator[b:], numerator[: n - b])
-            numerator = numerator[D & 1 :: 2]
-            if not numerator:
-                return 0
-            exponents = [b if b & 1 else b >> 1 for b in exponents]
-            D >>= 1
-        return numerator[0]
-
-    *passes, last = sorted(degrees, key=lambda d: (-(d & -d), -d))
-    counts = [0] * (D + 1)
-    counts[0] = 1
-    for d in passes:
-        # Sums off the multiples of d & -d are zero before this pass and
-        # stay zero, since s - d is off them too.
-        for s in range(d, D + 1, d & -d):
-            counts[s] += counts[s - d]
-    # Each solution is one counted sum D - c*last plus c copies of last.
-    return sum(counts[D % last :: last])
+    exponents = _degrees_for(p, D, include_nonunitary)
+    numerator = [1]
+    while D:
+        for b in exponents:
+            if b & 1 and b <= D:
+                n = min(len(numerator) + b, D + 1)
+                numerator += [0] * (n - len(numerator))
+                # Both slices on the right are copies: old coefficients.
+                numerator[b:] = map(add, numerator[b:], numerator[: n - b])
+        numerator = numerator[D & 1 :: 2]
+        if not numerator:
+            return 0
+        exponents = [b if b & 1 else b >> 1 for b in exponents]
+        D >>= 1
+    return numerator[0]
 
 
 def iter_decompositions(
@@ -296,7 +274,7 @@ def _walk(
 
     Given ``count``, the walk counts what it yields and raises
     :class:`IntegralityError` at its end if it found a different number: the
-    one place the enumeration is checked against the counting DP.
+    one place the enumeration is checked against the count.
     """
     n = len(degrees)
     # suffix[j] = the sums attainable with degrees[j:], for the rows 1..n-1

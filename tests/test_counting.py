@@ -1,10 +1,7 @@
 """``count_decompositions`` against a plain coin-change DP and golden counts.
 
-Below the sum of the degrees the counting DP adds the degrees in decreasing
-2-adic valuation, steps over the multiples of 2^v(d) only and closes with a
-residue-class sum instead of a pass over the last degree; from that sum up
-it halves the target instead.  The reference here is the textbook form: one
-full pass per row, in row order.
+The count halves the target at every step, whatever the target is.  The
+reference here is the textbook form: one full pass per row, in row order.
 """
 
 import random
@@ -14,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegel_dims import newforms
 from siegel_dims.irreps import degrees_at
 from siegel_dims.newforms import count_decompositions
 
@@ -93,7 +91,7 @@ def test_golden_counts(p, target, count):
     assert count_decompositions(p, target) == count
 
 
-# --- the halving path: targets at or above the sum of the degrees ------------
+# --- targets around and above the sum of the degrees -------------------------
 
 # How far above the degree sum the seeded targets at p = 11 and 13 reach.
 ABOVE_THE_SUM = 500
@@ -149,4 +147,13 @@ def test_count_at_the_enumeration_limit():
     # `decompose --prime 3 --target 10000000` printed it before refusing.
     assert count_decompositions(3, 10**7) == (
         178796249206356953428924790656618692009243404948902395254082114
+    )
+
+
+def test_count_at_a_paper_dimension_for_p11(monkeypatch):
+    # dim S_4(Gamma(11)) lies above the enumeration limit; the count was found
+    # both by an uncapped row-order DP and by halving.
+    monkeypatch.setattr(newforms, "MAX_ENUMERATION_TARGET", 20683575)
+    assert count_decompositions(11, 20683575) == (
+        1468279476109993457438861542957435811
     )
