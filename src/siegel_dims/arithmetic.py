@@ -8,8 +8,8 @@ dimension formulas need.  Nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import (
     EvenLevelError,
@@ -89,11 +89,20 @@ def legendre_symbol(a: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
 class SquareFreeLevel:
-    """An odd square-free level, held as its sorted tuple of prime factors."""
+    """An odd square-free level, held as its sorted tuple of prime factors.
 
-    primes: tuple[int, ...]
+    Immutable, compared and hashed by ``primes``; assignment and deletion
+    raise :class:`dataclasses.FrozenInstanceError`, the type callers caught
+    when this was a frozen dataclass.
+    """
+
+    __slots__ = ("primes",)
+    __match_args__ = ("primes",)
+
+    def __init__(self, primes: tuple[int, ...]):
+        object.__setattr__(self, "primes", primes)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.primes:
@@ -106,6 +115,28 @@ class SquareFreeLevel:
                 raise EvenLevelError(f"prime factors must be odd and >= 3, got {p}")
             require_prime(p)
 
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SquareFreeLevel, (self.primes,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.primes == other.primes
+
+    def __hash__(self):
+        return hash((self.primes,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(primes={self.primes!r})"
+
     @property
     def N(self) -> int:
         n = 1
@@ -117,28 +148,95 @@ class SquareFreeLevel:
         return str(self.N)
 
 
+# Trial division looks for factors up to this bound, so every level whose
+# second-largest prime factor is at most the bound factors by trial division
+# alone; a composite cofactor left past it goes to Pollard--Brent rho.
+_TRIAL_DIVISION_BOUND = 2**20
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard's rho with Brent's
+    cycle detection and batched gcds (Brent 1980, "An improved Monte Carlo
+    factorization algorithm").  Deterministic: it tries x -> x^2 + c for
+    c = 1, 2, ... from the start point 2 until one splits n."""
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch overshot: step through it one term at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n > 1 with multiplicity, each one certified by
+    :func:`is_prime`, in no particular order."""
+    if is_prime(n):
+        return [n]
+    d = _pollard_brent(n)
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
 def parse_square_free_level(N: int) -> SquareFreeLevel:
     """Factor N and validate that it is odd, square-free and at least 3.
 
     Raises :class:`EvenLevelError` when 2 | N and :class:`NotSquareFreeError`
-    (naming the repeated prime) when N has a square factor.
+    (naming the smallest repeated prime) when N has a square factor.  Levels
+    at or above ``PRIMALITY_CERTIFIED_BOUND`` are refused before any
+    division, since their factors could not all be certified prime.
+
+    Factors up to ``_TRIAL_DIVISION_BOUND`` are found by trial division; the
+    cofactor left after it, if composite, is split by Pollard--Brent rho.
     """
     if N < 3:
         raise InputError(f"level must be at least 3, got {N}")
+    if N >= PRIMALITY_CERTIFIED_BOUND:
+        raise InputError(f"levels are only factored below {PRIMALITY_CERTIFIED_BOUND}; got {N}")
     if N % 2 == 0:
         raise EvenLevelError(f"level must be odd, got {N}")
     primes = []
     rest = N
     d = 3
-    while d * d <= rest:
+    stop = isqrt(rest)
+    if stop > _TRIAL_DIVISION_BOUND:
+        stop = _TRIAL_DIVISION_BOUND
+    while d <= stop:
         if rest % d == 0:
             rest //= d
             if rest % d == 0:
                 raise NotSquareFreeError(N, d)
             primes.append(d)
+            stop = isqrt(rest)
+            if stop > _TRIAL_DIVISION_BOUND:
+                stop = _TRIAL_DIVISION_BOUND
         d += 2
     if rest > 1:
-        primes.append(rest)
+        if d * d > rest:
+            primes.append(rest)
+        else:
+            large = sorted(_prime_factors(rest))
+            for p, q in zip(large, large[1:]):
+                if p == q:
+                    raise NotSquareFreeError(N, p)
+            primes += large
     return SquareFreeLevel(tuple(primes))
 
 

@@ -9,13 +9,11 @@ Values go to stdout, one per line; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 
-from . import newforms, verification
 from .arithmetic import is_prime, parse_square_free_level
-from .errors import InputError, IntegralityError
+from .errors import DEFAULT_SOLUTION_CAP, InputError, IntegralityError
 from .tables import FAMILIES, FORMATS, TableSpec, build_rows, emit_irreps, emit_table
 
 # The longest --weights range a table accepts, checked before the range is built.
@@ -107,13 +105,13 @@ def build_parser() -> _Parser:
     p_dec.add_argument("--prime", type=int, required=True)
     p_dec.add_argument("--target", type=int, required=True)
     p_dec.add_argument("--include-nonunitary", action="store_true")
-    p_dec.add_argument("--max-solutions", type=int, default=newforms.DEFAULT_SOLUTION_CAP)
+    p_dec.add_argument("--max-solutions", type=int, default=DEFAULT_SOLUTION_CAP)
     p_dec.add_argument("--format", default="text", choices=("text", "json"))
 
     p_an = sub.add_parser("analyze", help="dimension, bounds and decomposition report")
     p_an.add_argument("--weight", type=int, required=True)
     p_an.add_argument("--prime", type=int, required=True)
-    p_an.add_argument("--max-solutions", type=int, default=newforms.DEFAULT_SOLUTION_CAP)
+    p_an.add_argument("--max-solutions", type=int, default=DEFAULT_SOLUTION_CAP)
     p_an.add_argument("--format", default="text", choices=("text", "json"))
 
     p_ir = sub.add_parser("irreps", help="the GSp(4,F_p) character degree table at p")
@@ -162,6 +160,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import newforms
+
     if is_prime(args.level):
         pair = newforms.bounds_prime(args.weight, args.level)
     else:
@@ -178,6 +178,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    import json
+
+    from . import newforms
+
     count, solutions = newforms.counted_decompositions(
         args.prime, args.target,
         include_nonunitary=args.include_nonunitary,
@@ -207,6 +211,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    import json
+
+    from . import newforms
+
     with _unlimited_digits():
         report = newforms.analyze_level(args.weight, args.prime, max_solutions=args.max_solutions)
         if args.format == "json":
@@ -222,6 +230,8 @@ def _cmd_irreps(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     report = verification.run_all_checks()
     if args.format == "json":
         sys.stdout.write(report.to_json())

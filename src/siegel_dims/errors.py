@@ -53,6 +53,11 @@ class IndexOutOfRangeError(InputError):
     """A representation index outside 1..17 was requested."""
 
 
+# The default cap on listed solutions.  It lives here, beside the error it
+# triggers, so the CLI's parsers read it without importing ``newforms``.
+DEFAULT_SOLUTION_CAP = 10**6
+
+
 class TooManySolutionsError(InputError):
     """Exhaustive enumeration was aborted because the solution set is (or
     would be) larger than the configured cap.

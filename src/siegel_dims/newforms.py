@@ -29,6 +29,7 @@ from .dimensions import (
     dim_principal_prime,
 )
 from .errors import (
+    DEFAULT_SOLUTION_CAP,
     IndexOutOfRangeError,
     InputError,
     IntegralityError,
@@ -36,9 +37,9 @@ from .errors import (
 )
 from .irreps import NON_UNITARY_INDICES, degrees_at, irrep_dim
 
-# Enumeration is only meaningful for desk-scale targets; these caps abort
-# pathological requests with an explicit error instead of running forever.
-DEFAULT_SOLUTION_CAP = 10**6
+# Enumeration is only meaningful for desk-scale targets; this cap and
+# DEFAULT_SOLUTION_CAP abort pathological requests with an explicit error
+# instead of running forever.
 MAX_ENUMERATION_TARGET = 10**7
 
 

@@ -8,9 +8,6 @@ in text format.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .arithmetic import PRIMALITY_CERTIFIED_BOUND, is_prime
 from .dimensions import (
     _principal_at,
@@ -19,7 +16,6 @@ from .dimensions import (
     dim_paramodular_weight4,
 )
 from .errors import InputError, NotTabulatedError
-from .irreps import table_at
 
 FORMATS = ("text", "csv", "json", "latex")
 
@@ -36,13 +32,54 @@ _EVALUATORS = {
 FAMILIES = tuple(_EVALUATORS)
 
 
-@dataclass(frozen=True)
 class TableSpec:
-    family: str
-    weights: tuple[int, ...] = ()
-    levels: tuple[int, ...] = ()
-    fmt: str = "text"
-    group_digits: bool = False
+    """What one table shows: a family, its weights and levels (one of the two
+    may vary), the output format and digit grouping.
+
+    Immutable, compared and hashed by its five fields; assignment and
+    deletion raise :class:`dataclasses.FrozenInstanceError`, the type callers
+    caught when this was a frozen dataclass.
+    """
+
+    __slots__ = ("family", "weights", "levels", "fmt", "group_digits")
+    __match_args__ = __slots__
+
+    def __init__(self, family: str, weights: tuple[int, ...] = (), levels: tuple[int, ...] = (),
+                 fmt: str = "text", group_digits: bool = False):
+        init = object.__setattr__
+        init(self, "family", family)
+        init(self, "weights", weights)
+        init(self, "levels", levels)
+        init(self, "fmt", fmt)
+        init(self, "group_digits", group_digits)
+
+    def _fields(self) -> tuple:
+        return (self.family, self.weights, self.levels, self.fmt, self.group_digits)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TableSpec, self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(family={self.family!r}, weights={self.weights!r}, "
+            f"levels={self.levels!r}, fmt={self.fmt!r}, group_digits={self.group_digits!r})"
+        )
 
 
 def _validate(spec: TableSpec) -> None:
@@ -93,6 +130,7 @@ def emit_table(spec: TableSpec) -> str:
         return "\n".join(lines) + "\n"
 
     if spec.fmt == "json":
+        import json
         return json.dumps([{axis: a, "dim": d} for a, d in rows]) + "\n"
 
     if spec.fmt == "latex":
@@ -119,8 +157,10 @@ def emit_irreps(p: int, fmt: str = "text") -> str:
     """Render the GSp(4,F_p) character degree table at p in one of FORMATS."""
     if fmt not in FORMATS:
         raise InputError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    from .irreps import table_at
     rows = table_at(p)
     if fmt == "json":
+        import json
         return json.dumps(rows) + "\n"
     if fmt == "csv":
         lines = ["index,formula,dimension,unitary_relevant"]

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import siegel_dims
 from siegel_dims import newforms, verification
+from siegel_dims.arithmetic import SquareFreeLevel
+from siegel_dims.dimensions import dim_principal
 from siegel_dims.cli import MAX_TABLE_WEIGHTS, _unlimited_digits, main
 from siegel_dims.dimensions import dim_full_level
 
@@ -420,3 +426,29 @@ class TestAnswersWiderThan4300Digits:
                              "--levels", "9" * 5000)
         assert (code, out) == (1, "")
         assert "comma-separated list of integers" in err
+
+
+class TestLevelsPastTrialDivision:
+    """1000000007 * 1000000009 is past the reach of trial division alone; the
+    CLI factors it by Pollard--Brent rho and answers within the time bound,
+    run as a subprocess so a hang fails the test instead of stalling it."""
+
+    LEVEL = SquareFreeLevel((1000000007, 1000000009))
+    TIMEOUT_S = 10
+
+    def run_cli(self, *argv):
+        env = dict(os.environ)
+        src = str(Path(siegel_dims.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "siegel_dims.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=self.TIMEOUT_S)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_bounds(self):
+        pair = newforms.bounds_squarefree(4, self.LEVEL)
+        assert self.run_cli("bounds", "--weight", "4", "--level", str(self.LEVEL)) == (
+            0, f"{pair.lower}\n{pair.upper}\n", "")
+
+    def test_dim_principal(self):
+        argv = ("dim", "--family", "principal", "--weight", "4", "--level", str(self.LEVEL))
+        assert self.run_cli(*argv) == (0, f"{dim_principal(4, self.LEVEL)}\n", "")

@@ -105,3 +105,36 @@ def test_public_dir_after_a_bare_import():
 def test_submodule_resolves_after_a_bare_import():
     out = run_fresh("import siegel_dims; print(*siegel_dims.tables.FORMATS)")
     assert out.split() == list(importlib.import_module("siegel_dims.tables").FORMATS)
+
+
+# Modules that ``dim`` and ``table`` never run.
+HEAVY = ["dataclasses", "json", "siegel_dims.irreps", "siegel_dims.newforms",
+         "siegel_dims.verification"]
+
+
+def loaded_after_cli(*argvs) -> str:
+    """The exit codes of ``cli.main`` over ``argvs`` in one fresh interpreter,
+    then which of HEAVY it loaded."""
+    return run_fresh(
+        "import contextlib, io, sys\n"
+        "from siegel_dims import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {list(map(list, argvs))!r}]\n"
+        f"print(codes, sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
+    )
+
+
+def test_dim_and_text_table_load_no_heavy_module():
+    out = loaded_after_cli(
+        ["dim", "--family", "full", "--weight", "10"],
+        ["dim", "--family", "principal", "--weight", "4", "--level", "15"],
+        ["table", "--family", "principal", "--weight", "4", "--levels", "3,5,15",
+         "--format", "text"],
+        ["dim", "--family", "principal", "--weight", "4", "--level", "45"],
+    )
+    assert out == "[0, 0, 0, 1] []\n"
+
+
+def test_json_table_loads_json_but_not_newforms():
+    out = loaded_after_cli(["table", "--family", "full", "--weights", "10..12", "--format", "json"])
+    assert out == "[0] ['json']\n"
