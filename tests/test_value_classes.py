@@ -1,6 +1,6 @@
-"""Value semantics of ``SquareFreeLevel`` and ``TableSpec``: construction,
-equality, hashing, repr and immutability, as the frozen dataclasses they
-replace defined them."""
+"""Value semantics of ``SquareFreeLevel``, ``TableSpec`` and ``Decomposition``:
+construction, equality, hashing, repr and immutability, as the frozen
+dataclasses they replace defined them."""
 
 import copy
 import pickle
@@ -10,7 +10,28 @@ import pytest
 
 from siegel_dims.arithmetic import SquareFreeLevel
 from siegel_dims.errors import EvenLevelError, InputError, NotPrimeError
+from siegel_dims.newforms import Decomposition, decompose
 from siegel_dims.tables import TableSpec
+
+# Every index 1..15 of a walk-built solution at p = 3, zeros included.
+WALK_MULTIPLICITIES = {n: 0 for n in range(1, 16)} | {14: 1}
+
+# One instance of each value class; the two decompositions are the same
+# solution, built by the validating constructor and by the walk.
+INSTANCES = {
+    "SquareFreeLevel": lambda: SquareFreeLevel((3, 5)),
+    "TableSpec": lambda: TableSpec("full", weights=(10,)),
+    "Decomposition-constructed": lambda: Decomposition({14: 1}, 3, 15),
+    "Decomposition-walk-built": lambda: decompose(3, 15)[0],
+}
+
+
+@pytest.mark.parametrize("build", INSTANCES.values(), ids=INSTANCES.keys())
+def test_instances_are_slotted_with_no_dict(build):
+    value = build()
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        value.unknown_attribute = 1
 
 
 class TestSquareFreeLevel:
@@ -123,3 +144,53 @@ class TestTableSpec:
         spec = TableSpec("principal", (4,), (3, 15), "latex", True)
         assert copy.copy(spec) == spec
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+DECOMPOSITIONS = {
+    "constructed": lambda: Decomposition({14: 1}, 3, 15),
+    "walk-built": lambda: decompose(3, 15)[0],
+}
+DECOMPOSITION_REPRS = {
+    "constructed": "Decomposition(multiplicities={14: 1}, prime=3, target=15)",
+    "walk-built": (
+        "Decomposition(multiplicities={1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, "
+        "9: 0, 10: 0, 11: 0, 12: 0, 13: 0, 14: 1, 15: 0}, prime=3, target=15)"
+    ),
+}
+DECOMPOSITION_FIELDS = {
+    "constructed": ({14: 1}, 3, 15),
+    "walk-built": (WALK_MULTIPLICITIES, 3, 15),
+}
+
+
+@pytest.mark.parametrize("kind", DECOMPOSITIONS)
+class TestDecomposition:
+    @pytest.mark.parametrize("field", ["multiplicities", "prime", "target", "_counts", "other"])
+    def test_exact_assignment_and_deletion_messages(self, kind, field):
+        sol = DECOMPOSITIONS[kind]()
+        with pytest.raises(FrozenInstanceError) as assigned:
+            setattr(sol, field, None)
+        assert str(assigned.value) == f"cannot assign to field '{field}'"
+        with pytest.raises(FrozenInstanceError) as deleted:
+            delattr(sol, field)
+        assert str(deleted.value) == f"cannot delete field '{field}'"
+        assert sol == DECOMPOSITIONS[kind]()
+
+    def test_exact_repr(self, kind):
+        assert repr(DECOMPOSITIONS[kind]()) == DECOMPOSITION_REPRS[kind]
+
+    def test_reduce_calls_the_constructor_with_the_fields(self, kind):
+        sol = DECOMPOSITIONS[kind]()
+        assert sol.__reduce__() == (Decomposition, DECOMPOSITION_FIELDS[kind])
+        assert Decomposition(*sol.__reduce__()[1]) == sol
+
+    def test_equality_is_by_value_and_class(self, kind):
+        sol = DECOMPOSITIONS[kind]()
+        assert sol == Decomposition(*DECOMPOSITION_FIELDS[kind])
+        assert sol.__eq__(DECOMPOSITION_FIELDS[kind]) is NotImplemented
+        assert sol != Decomposition({15: 2}, 3, 12)
+
+    def test_unhashable(self, kind):
+        assert Decomposition.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(DECOMPOSITIONS[kind]())
