@@ -18,6 +18,7 @@ from .errors import (
     IntegralityError,
     NotPrimeError,
     NotSquareFreeError,
+    _Frozen,
 )
 
 # Witnesses proving n prime for every n below this bound (first 13 primes,
@@ -89,53 +90,22 @@ def legendre_symbol(a: int, p: int) -> int:
     return e
 
 
-class SquareFreeLevel:
-    """An odd square-free level, held as its sorted tuple of prime factors.
+class SquareFreeLevel(_Frozen):
+    """An odd square-free level, held as its sorted tuple of prime factors."""
 
-    Immutable, compared and hashed by ``primes``; assignment and deletion
-    raise :class:`dataclasses.FrozenInstanceError`, the type callers caught
-    when this was a frozen dataclass.
-    """
-
-    __slots__ = ("primes",)
-    __match_args__ = ("primes",)
+    __slots__ = __match_args__ = ("primes",)
 
     def __init__(self, primes: tuple[int, ...]):
-        object.__setattr__(self, "primes", primes)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not self.primes:
+        if not primes:
             raise InputError("a level needs at least one prime factor")
-        for p, q in zip(self.primes, self.primes[1:]):
+        for p, q in zip(primes, primes[1:]):
             if p >= q:
-                raise InputError(f"prime factors must be strictly increasing, got {self.primes}")
-        for p in self.primes:
+                raise InputError(f"prime factors must be strictly increasing, got {primes}")
+        for p in primes:
             if p < 3 or p % 2 == 0:
                 raise EvenLevelError(f"prime factors must be odd and >= 3, got {p}")
             require_prime(p)
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SquareFreeLevel, (self.primes,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.primes == other.primes
-
-    def __hash__(self):
-        return hash((self.primes,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(primes={self.primes!r})"
+        object.__setattr__(self, "primes", primes)
 
     @property
     def N(self) -> int:

@@ -139,8 +139,11 @@ def dim_principal_prime(k: int, p: int) -> int:
     accepted because the weight-4 value there is the (correct) 0; at other
     weights p = 2 may fail integrality, which is reported rather than hidden.
     """
-    _require_weight(k, 4)
-    require_prime(p)
+    return _principal_prime(_require_weight(k, 4), require_prime(p))
+
+
+def _principal_prime(k: int, p: int) -> int:
+    """The formula of :func:`dim_principal_prime`, for a k and p already checked."""
     poly = (2 * k**3 - 9 * k**2 + 13 * k - 6) * p**3 + (180 - 120 * k) * p + 360
     value = Fraction(poly * p * (p**4 - 1) * (p**2 - 1), 2**8 * 3**3 * 5)
     return as_integer(value, f"dim S_{k}(Gamma({p}))")
@@ -191,7 +194,7 @@ def dim_principal(k: int, level: SquareFreeLevel, *, formula_only: bool = False)
 def _principal_at(N: int):
     """k -> dim S_k(Gamma(N)), with the raw level N checked and factored once."""
     if is_prime(N):
-        return lambda k: dim_principal_prime(k, N)
+        return lambda k: _principal_prime(_require_weight(k, 4), N)
     level = parse_square_free_level(N)
     return lambda k: dim_principal(k, level)
 

@@ -5,6 +5,10 @@ trigger with bad arguments (the CLI maps it to exit status 1), while
 ``IntegralityError`` signals that an exact-rational computation failed to
 collapse to an integer where the mathematics guarantees one (exit status 2;
 always a bug in our tables or formulas, never a user mistake).
+
+The private ``_Frozen`` base, the one immutable-value protocol of the
+package's value classes, lives here too: every module already imports this
+one.
 """
 
 
@@ -73,3 +77,50 @@ class TooManySolutionsError(InputError):
 
 class IntegralityError(SiegelDimsError, ArithmeticError):
     """An exact rational that must reduce to a non-negative integer did not."""
+
+
+class _Frozen:
+    """An immutable value whose fields are named by ``__match_args__``.
+
+    A subclass declares its storage in ``__slots__`` and fills the slots in
+    its ``__init__`` with ``object.__setattr__``.  Instances compare equal
+    when their classes and field tuples are equal, hash by the field tuple,
+    print as ``Name(field=value, ...)`` and copy and pickle through their
+    constructor.  Assignment and deletion raise
+    :class:`dataclasses.FrozenInstanceError`, the type callers caught when
+    these classes were frozen dataclasses; it is imported only on that error
+    path, so loading the package does not load ``dataclasses``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    @staticmethod
+    def _frozen(action: str, name: str) -> Exception:
+        from dataclasses import FrozenInstanceError
+        return FrozenInstanceError(f"cannot {action} field {name!r}")
+
+    def __setattr__(self, name, value):
+        raise self._frozen("assign to", name)
+
+    def __delattr__(self, name):
+        raise self._frozen("delete", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            [f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())]
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -34,6 +34,7 @@ from .errors import (
     InputError,
     IntegralityError,
     TooManySolutionsError,
+    _Frozen,
 )
 from .irreps import NON_UNITARY_INDICES, degrees_at, irrep_dim
 
@@ -99,7 +100,7 @@ def bounds_squarefree(k: int, level: SquareFreeLevel) -> BoundPair:
 # --- exhaustive decomposition ------------------------------------------------
 
 
-class Decomposition:
+class Decomposition(_Frozen):
     """One solution of sum c_n * a_n(p) = target.
 
     ``multiplicities`` maps every index in play (1..15, or 1..17 when the
@@ -117,6 +118,8 @@ class Decomposition:
     """
 
     __slots__ = ("_counts", "_indices", "prime", "target")
+    __match_args__ = ("multiplicities", "prime", "target")
+    __hash__ = None
 
     def __init__(self, multiplicities: dict[int, int], prime: int, target: int):
         init = object.__setattr__
@@ -142,32 +145,6 @@ class Decomposition:
             raise InputError(
                 f"multiplicities sum to {total}, not the target {self.target}"
             )
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Decomposition, (self.multiplicities, self.prime, self.target)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.multiplicities, self.prime, self.target) == (
-            other.multiplicities,
-            other.prime,
-            other.target,
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(multiplicities={self.multiplicities!r}, "
-            f"prime={self.prime!r}, target={self.target!r})"
-        )
 
     @property
     def multiplicities(self) -> dict[int, int]:

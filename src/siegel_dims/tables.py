@@ -15,7 +15,7 @@ from .dimensions import (
     dim_gamma0,
     dim_paramodular_weight4,
 )
-from .errors import InputError, NotTabulatedError
+from .errors import InputError, NotTabulatedError, _Frozen
 
 FORMATS = ("text", "csv", "json", "latex")
 
@@ -32,17 +32,11 @@ _EVALUATORS = {
 FAMILIES = tuple(_EVALUATORS)
 
 
-class TableSpec:
+class TableSpec(_Frozen):
     """What one table shows: a family, its weights and levels (one of the two
-    may vary), the output format and digit grouping.
+    may vary), the output format and digit grouping."""
 
-    Immutable, compared and hashed by its five fields; assignment and
-    deletion raise :class:`dataclasses.FrozenInstanceError`, the type callers
-    caught when this was a frozen dataclass.
-    """
-
-    __slots__ = ("family", "weights", "levels", "fmt", "group_digits")
-    __match_args__ = __slots__
+    __slots__ = __match_args__ = ("family", "weights", "levels", "fmt", "group_digits")
 
     def __init__(self, family: str, weights: tuple[int, ...] = (), levels: tuple[int, ...] = (),
                  fmt: str = "text", group_digits: bool = False):
@@ -52,34 +46,6 @@ class TableSpec:
         init(self, "levels", levels)
         init(self, "fmt", fmt)
         init(self, "group_digits", group_digits)
-
-    def _fields(self) -> tuple:
-        return (self.family, self.weights, self.levels, self.fmt, self.group_digits)
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return TableSpec, self._fields()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(family={self.family!r}, weights={self.weights!r}, "
-            f"levels={self.levels!r}, fmt={self.fmt!r}, group_digits={self.group_digits!r})"
-        )
 
 
 def _validate(spec: TableSpec) -> None:

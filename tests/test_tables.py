@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel_dims import dimensions
+from siegel_dims import arithmetic, dimensions
 from siegel_dims.arithmetic import is_prime
 from siegel_dims.arithmetic import parse_square_free_level
 from siegel_dims.errors import InputError, NotTabulatedError, WeightOutOfRangeError
@@ -164,6 +164,24 @@ def test_weight_axis_table_factors_its_level_once(monkeypatch):
     N = 1000003 * 1000033
     emit_table(TableSpec("principal", weights=tuple(range(4, 14)), levels=(N,)))
     assert calls == [N]
+
+
+def test_weight_axis_table_certifies_a_prime_level_once(monkeypatch):
+    def calls_for(weights: int) -> int:
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(arithmetic, "is_prime", counting)
+            patch.setattr(dimensions, "is_prime", counting)
+            emit_table(TableSpec("principal", weights=tuple(range(4, 4 + weights)),
+                                 levels=(999999999999999989,)))
+        return len(calls)
+
+    assert calls_for(3) == calls_for(300)
 
 
 # --- build_rows against per-cell calls of the public formulas ------------------
