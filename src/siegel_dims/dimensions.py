@@ -178,8 +178,12 @@ def dim_principal(k: int, level: SquareFreeLevel, *, formula_only: bool = False)
     even though the product formula itself yields the quoted value divided by
     15^7.  Pass ``formula_only=True`` for the plain formula evaluation.
     """
-    _require_weight(k, 4)
-    N = level.N
+    return _principal(_require_weight(k, 4), level.N, hecke_factor(level), formula_only)
+
+
+def _principal(k: int, N: int, factor: Fraction, formula_only: bool = False) -> int:
+    """:func:`dim_principal` for a k already checked, given the level's
+    :func:`hecke_factor`, so that a table along the weights computes it once."""
     if not formula_only and (k, N) in QUOTED_COMPOSITE_DIMS:
         return QUOTED_COMPOSITE_DIMS[(k, N)]
     inner = (
@@ -187,7 +191,7 @@ def dim_principal(k: int, level: SquareFreeLevel, *, formula_only: bool = False)
         - Fraction(N, 2 * 3) * (2 * k - 3)
         + 1
     )
-    value = Fraction(N**7, 2**5 * 3) * inner * hecke_factor(level)
+    value = Fraction(N**7, 2**5 * 3) * inner * factor
     return as_integer(value, f"dim S_{k}(Gamma({N}))")
 
 
@@ -195,8 +199,8 @@ def _principal_at(N: int):
     """k -> dim S_k(Gamma(N)), with the raw level N checked and factored once."""
     if is_prime(N):
         return lambda k: _principal_prime(_require_weight(k, 4), N)
-    level = parse_square_free_level(N)
-    return lambda k: dim_principal(k, level)
+    factor = hecke_factor(parse_square_free_level(N))
+    return lambda k: _principal(_require_weight(k, 4), N, factor)
 
 
 def dim_principal_level(k: int, N: int) -> int:

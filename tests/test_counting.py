@@ -4,8 +4,12 @@ The count halves the target at every step, whatever the target is.  The
 reference here is the textbook form: one full pass per row, in row order.
 """
 
+import os
 import random
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -157,3 +161,103 @@ def test_count_at_a_paper_dimension_for_p11(monkeypatch):
     assert count_decompositions(11, 20683575) == (
         1468279476109993457438861542957435811
     )
+
+
+# --- the sparse phase below the degree sum -------------------------------------
+
+# The numerator starts as a dict of terms and becomes a list once it fills
+# (see the docstring of count_decompositions).  Targets between 2 * 10^4 and
+# the degree sum keep it sparse for several steps at p = 11 and 13.
+SPARSE_FROM = 20_000
+
+
+@given(st.sampled_from((11, 13)), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_phase_matches_reference_dp(p, include_nonunitary, data):
+    total = degree_sum(p, include_nonunitary)
+    target = data.draw(st.integers(min_value=SPARSE_FROM + 1, max_value=total - 1))
+    expected = halving_table(p, include_nonunitary)[target]
+    assert count_decompositions(p, target, include_nonunitary) == expected
+
+
+def switch_step(monkeypatch, p, target, include_nonunitary=False):
+    """(the step at which the count goes dense, or None, and the count)."""
+    dense = newforms._count_dense
+    handed = []
+
+    def spy(numerator, exponents, D):
+        handed.append(D)
+        return dense(numerator, exponents, D)
+
+    monkeypatch.setattr(newforms, "_count_dense", spy)
+    count = count_decompositions(p, target, include_nonunitary)
+    if not handed:
+        return None, count
+    return [target >> s for s in range(target.bit_length() + 1)].index(handed[0]), count
+
+
+def expected_count(p, target, include_nonunitary):
+    """The reference DP's count at p <= 13; the walk's at larger p, where the
+    targets here have few solutions."""
+    if p > 13:
+        return sum(1 for _ in newforms.iter_decompositions(p, target, include_nonunitary))
+    if target <= MAX_TARGET:
+        return reference_table(p, include_nonunitary)[target]
+    return halving_table(p, include_nonunitary)[target]
+
+
+@pytest.mark.parametrize(
+    "p,target,include_nonunitary,step",
+    [
+        (3, 5, False, 0),  # below the smallest degree, 6: P = 1 is already full
+        (13, 1000, True, 0),  # no odd degree at or below the target
+        (3, 15, False, 1),
+        (3, 16, True, 1),
+        (3, 50, False, 2),
+        (5, 100, True, 2),
+        (3, 10**4, False, 2),
+        (13, 10**5, False, 5),
+        (11, 10**5, True, 4),
+        (47, 10**5, True, None),  # the parity slice empties P while it is sparse
+        (47, 10**6, False, None),
+    ],
+)
+def test_switch_to_the_dense_phase(monkeypatch, p, target, include_nonunitary, step):
+    expected = expected_count(p, target, include_nonunitary)
+    assert switch_step(monkeypatch, p, target, include_nonunitary) == (step, expected)
+
+
+@pytest.mark.parametrize("fill", [0, 10**9])
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_each_phase_alone_matches_reference_dp(monkeypatch, p, fill):
+    # A fill of 0 keeps P sparse to the end; 10**9 makes it dense from the start.
+    monkeypatch.setattr(newforms, "_DENSE_FILL", fill)
+    rng = random.Random(p + fill)
+    for include_nonunitary in (False, True):
+        table = reference_table(p, include_nonunitary)
+        targets = rng.sample(range(MAX_TARGET + 1), 8)
+        assert [count_decompositions(p, D, include_nonunitary) for D in targets] == [
+            table[D] for D in targets
+        ]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_count_at_p47_at_the_limit_stays_small():
+    # The parity slice empties P while it is still a handful of terms; a list
+    # of D + 1 entries would peak near 200 MiB.  VmHWM is the peak of the new
+    # interpreter alone: ru_maxrss would carry over the peak of this process,
+    # which forked it.
+    code = (
+        "from siegel_dims.newforms import count_decompositions\n"
+        "count = count_decompositions(47, 10**7)\n"
+        "status = open('/proc/self/status').read().split()\n"
+        "print(count, int(status[status.index('VmHWM:') + 1]) // 1024)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(newforms.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    count, peak_mib = map(int, proc.stdout.split())
+    assert count == 0
+    assert peak_mib < 64

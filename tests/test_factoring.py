@@ -89,6 +89,18 @@ def test_large_square_free_levels(primes):
     assert parse_square_free_level(math.prod(primes)).primes == primes
 
 
+@pytest.mark.parametrize("primes", [(251, 257), (257, 263), (3, 251, 257)])
+def test_levels_that_straddle_the_trial_division_bound(primes):
+    # 251 < 2^8 < 257 < 263: trial division finds 251, rho splits 257 * 263.
+    assert parse_square_free_level(math.prod(primes)).primes == primes
+
+
+def test_repeated_prime_just_past_the_trial_division_bound_is_named():
+    with pytest.raises(NotSquareFreeError) as info:
+        parse_square_free_level(257**2 * 3)
+    assert (info.value.level, info.value.prime) == (257**2 * 3, 257)
+
+
 @pytest.mark.parametrize("N, prime", [
     ((2**31 - 1) ** 2, 2**31 - 1),
     (3 * 5 * (2**31 - 1) ** 2, 2**31 - 1),

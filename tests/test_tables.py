@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from siegel_dims import arithmetic, dimensions
 from siegel_dims.arithmetic import is_prime
 from siegel_dims.arithmetic import parse_square_free_level
+from siegel_dims.dimensions import hecke_factor
 from siegel_dims.errors import InputError, NotTabulatedError, WeightOutOfRangeError
 from siegel_dims.tables import TableSpec, build_rows, emit_table
 
@@ -179,6 +180,23 @@ def test_weight_axis_table_certifies_a_prime_level_once(monkeypatch):
             patch.setattr(dimensions, "is_prime", counting)
             emit_table(TableSpec("principal", weights=tuple(range(4, 4 + weights)),
                                  levels=(999999999999999989,)))
+        return len(calls)
+
+    assert calls_for(3) == calls_for(300)
+
+
+def test_weight_axis_table_computes_the_hecke_factor_of_a_composite_level_once(monkeypatch):
+    def calls_for(weights: int) -> int:
+        calls = []
+
+        def counting(level):
+            calls.append(level)
+            return hecke_factor(level)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dimensions, "hecke_factor", counting)
+            emit_table(TableSpec("principal", weights=tuple(range(4, 4 + weights)),
+                                 levels=(1000000016000000063,)))
         return len(calls)
 
     assert calls_for(3) == calls_for(300)
