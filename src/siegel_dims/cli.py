@@ -178,8 +178,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    import json
-
     from . import newforms
 
     count, solutions = newforms.counted_decompositions(
@@ -188,6 +186,7 @@ def _cmd_decompose(args) -> int:
         max_solutions=args.max_solutions,
     )
     if args.format == "json":
+        import json
         # The count is known before the walk, so the document is written as
         # the solutions arrive, in the same bytes json.dumps gives for it.
         head, _, tail = json.dumps({
@@ -211,13 +210,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import json
-
     from . import newforms
 
     with _unlimited_digits():
         report = newforms.analyze_level(args.weight, args.prime, max_solutions=args.max_solutions)
         if args.format == "json":
+            import json
             print(json.dumps(report.to_json_dict()))
         else:
             print(report.to_text())

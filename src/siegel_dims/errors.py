@@ -66,8 +66,8 @@ class TooManySolutionsError(InputError):
     """Exhaustive enumeration was aborted because the solution set is (or
     would be) larger than the configured cap.
 
-    ``count`` carries the exact solution count when it was cheap to compute,
-    else ``None``.
+    ``count`` carries the exact solution count; it is ``None`` exactly when
+    the target exceeds ``newforms.MAX_ENUMERATION_TARGET``.
     """
 
     def __init__(self, message: str, count: int | None = None):

@@ -300,19 +300,17 @@ def _walk(
     """
     n = len(degrees)
     # suffix[j] = the sums attainable with degrees[j:], for the rows 1..n-1
-    # that the search probes.  Each is written out once, low bit first, so
-    # that a probe is one string index rather than a shift of a (D + 1)-bit
-    # integer.  The sets nest, so one bitset grows in place as j falls.
+    # that the search probes.  Bit D - s stands for the sum s: a right shift
+    # adds a degree and drops every sum past D, and bit D (the sum 0) stays
+    # set, so the binary string is the row.  The sets nest: one bitset grows.
     suffix = [""] * n
-    mask = (1 << (D + 1)) - 1
-    r = 1
+    r = 1 << D
     for j in range(n - 1, 0, -1):
         shift = degrees[j]
         while shift <= D:
-            r |= r << shift
+            r |= r >> shift
             shift <<= 1
-        r &= mask
-        suffix[j] = format(r, f"0{D + 1}b")[::-1]
+        suffix[j] = format(r, "b")
 
     # Depth-first over indices 1..n with c ascending, on an explicit stack.
     # Only reachable remainders are entered, so every node leads to at least

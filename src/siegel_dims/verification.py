@@ -8,7 +8,6 @@ the JSON rendering is byte-identical across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -63,6 +62,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:

@@ -205,6 +205,11 @@ class TestTable:
     def test_axis_parse_errors(self, capsys, flags, message):
         assert run(capsys, "table", *flags) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags", [("--weights", "4..5"), ()])
+    def test_gamma0_needs_exactly_one_weight(self, capsys, flags):
+        assert run(capsys, "table", "--family", "gamma0", *flags, "--level", "3") == (
+            1, "", "error: family 'gamma0' takes exactly one weight (--weight)\n")
+
     def test_weight_range_at_the_bound_renders(self, capsys):
         code, out, err = run(capsys, "table", "--family", "full", "--weights", "4..10003")
         assert (code, err) == (0, "")

@@ -138,3 +138,13 @@ def test_dim_and_text_table_load_no_heavy_module():
 def test_json_table_loads_json_but_not_newforms():
     out = loaded_after_cli(["table", "--family", "full", "--weights", "10..12", "--format", "json"])
     assert out == "[0] ['json']\n"
+
+
+def test_text_decompose_analyze_and_verify_load_no_json():
+    out = loaded_after_cli(
+        ["decompose", "--prime", "3", "--target", "15"],
+        ["analyze", "--weight", "4", "--prime", "3"],
+        ["verify"],
+    )
+    assert out == ("[0, 0, 0] ['dataclasses', 'siegel_dims.irreps', 'siegel_dims.newforms', "
+                   "'siegel_dims.verification']\n")

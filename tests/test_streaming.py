@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from functools import cache
 from pathlib import Path
@@ -288,6 +289,19 @@ class TestCountedWalk:
     def test_unreachable_large_target(self):
         assert list(iter_decompositions(47, 10**6)) == []
         assert count_decompositions(47, 10**6) == 0
+
+    def test_walk_holds_little_beyond_its_rows(self):
+        # The rows are 14 strings of D + 1 bytes; building them may add the
+        # bitset (D / 8 bytes) but no copy of a row.
+        D = 2 * 10**6
+        walk = iter_decompositions(47, D)
+        tracemalloc.start()
+        try:
+            assert list(walk) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 14 * (D + 1) < (D + 1) // 2
 
 
 def test_newform_report_marks_targets_over_the_limit():

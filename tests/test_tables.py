@@ -10,7 +10,7 @@ from siegel_dims.arithmetic import is_prime
 from siegel_dims.arithmetic import parse_square_free_level
 from siegel_dims.dimensions import hecke_factor
 from siegel_dims.errors import InputError, NotTabulatedError, WeightOutOfRangeError
-from siegel_dims.tables import TableSpec, build_rows, emit_table
+from siegel_dims.tables import TableSpec, build_rows, emit_irreps, emit_table
 
 PRINCIPAL_W4_CSV = (
     "p,dim\n"
@@ -140,6 +140,12 @@ class TestValidation:
             emit_table(TableSpec("weil", weights=(4,), levels=(3,)))
         with pytest.raises(InputError):
             emit_table(TableSpec("full", weights=(10,), fmt="yaml"))
+
+    def test_irreps_unknown_format(self):
+        with pytest.raises(InputError) as info:
+            emit_irreps(3, "yaml")
+        assert str(info.value) == (
+            "unknown format 'yaml'; choose from ('text', 'csv', 'json', 'latex')")
 
 
 def test_each_composite_level_is_factored_once(monkeypatch):
