@@ -81,7 +81,11 @@ def legendre_symbol(a: int, p: int) -> int:
     Returns 0 when p | a, 1 when a is a nonzero square mod p, and -1
     otherwise.
     """
-    require_odd_prime(p)
+    return _euler_criterion(a, require_odd_prime(p))
+
+
+def _euler_criterion(a: int, p: int) -> int:
+    """(a/p) for a p the caller has already certified as an odd prime."""
     e = pow(a % p, (p - 1) // 2, p)
     if e == p - 1:
         return -1

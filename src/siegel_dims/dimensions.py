@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from .arithmetic import (
     SquareFreeLevel,
+    _euler_criterion,
     as_integer,
     is_prime,
-    legendre_symbol,
     parse_square_free_level,
     require_prime,
 )
@@ -120,10 +120,10 @@ def dim_paramodular_weight4(p: int) -> int:
         Fraction(p * p, 576)
         + Fraction(p, 8)
         - Fraction(143, 576)
-        + (Fraction(p, 96) - Fraction(1, 8)) * legendre_symbol(-1, p)
-        + Fraction(1, 8) * legendre_symbol(2, p)
-        + Fraction(1, 12) * legendre_symbol(3, p)
-        + Fraction(p, 36) * legendre_symbol(-3, p)
+        + (Fraction(p, 96) - Fraction(1, 8)) * _euler_criterion(-1, p)
+        + Fraction(1, 8) * _euler_criterion(2, p)
+        + Fraction(1, 12) * _euler_criterion(3, p)
+        + Fraction(p, 36) * _euler_criterion(-3, p)
     )
     return as_integer(value, f"dim S_4(K({p}))")
 

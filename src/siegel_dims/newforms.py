@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 
 from .arithmetic import SquareFreeLevel, require_odd_prime
 from .dimensions import (
@@ -112,9 +112,11 @@ class Decomposition(_Frozen):
     The constructor validates: ``__post_init__`` rejects a negative
     multiplicity, an index outside the table and a sum other than the
     target.  The walk behind :func:`iter_decompositions` builds its solutions
-    without that method and checks each one with a single dot product
-    against the degree tuple instead.  Instances are immutable, compare by
-    value and are unhashable.
+    without that method and checks each one against the target instead: it
+    carries each prefix's dot product with the degree tuple down the search
+    and adds the last two terms, so the check is the full dot product of
+    the solution's counts.  Instances are immutable, compare by value and
+    are unhashable.
     """
 
     __slots__ = ("_counts", "_indices", "prime", "target")
@@ -294,40 +296,58 @@ def _walk(
 ) -> Iterator[Decomposition]:
     """The search behind the decomposition streams.
 
-    Given ``count``, the walk counts what it yields and raises
+    A depth-first search fixes c_1, ..., c_(n-2) in turn, c ascending, and
+    enters a remainder only if the later degrees can still reach it; one
+    reachability row per index 1..n-2 answers that in O(1).  What is left,
+    rest = c_(n-1) * a_(n-1) + c_n * a_n, is solved in closed form: with
+    g = gcd(a_(n-1), a_n), c_(n-1) runs over one residue class mod a_n / g
+    up to rest // a_(n-1), and c_n is the quotient of what remains.  So the
+    solutions come out in lexicographic order, and when D is unreachable the
+    search ends after D // a_1 probes at index 1.
+
+    The solutions skip the validating constructor.  Each level carries its
+    prefix (c_1, ..., c_j) and that prefix's dot product with the degrees,
+    read by iteration, so every solution is checked against D as the full
+    dot product of the tuple it holds, at the cost of two products.  Given
+    ``count``, the walk counts what it yields and raises
     :class:`IntegralityError` at its end if it found a different number: the
     one place the enumeration is checked against the count.
     """
     n = len(degrees)
-    # suffix[j] = the sums attainable with degrees[j:], for the rows 1..n-1
+    # suffix[j] = the sums attainable with degrees[j:], for the rows 1..n-2
     # that the search probes.  Bit D - s stands for the sum s: a right shift
     # adds a degree and drops every sum past D, and bit D (the sum 0) stays
     # set, so the binary string is the row.  The sets nest: one bitset grows.
-    suffix = [""] * n
+    suffix = [""] * (n - 1)
     r = 1 << D
     for j in range(n - 1, 0, -1):
         shift = degrees[j]
         while shift <= D:
             r |= r >> shift
             shift <<= 1
-        suffix[j] = format(r, "b")
+        if j < n - 1:
+            suffix[j] = format(r, "b")
 
-    # Depth-first over indices 1..n with c ascending, on an explicit stack.
-    # Only reachable remainders are entered, so every node leads to at least
-    # one solution and the solutions come out already sorted; when D itself
-    # is unreachable the scan at index 1 ends after D // a_1 probes.  The last
-    # multiplicity is forced: c_n = rest / a_n.  Solutions skip the
-    # validating constructor; one dot product checks each before it leaves.
+    # rest = c_(n-1) * a + c_n * b with g | rest, so c_(n-1) * (a / g) =
+    # rest / g (mod step): c_(n-1) is (rest / g) * inv (mod step).
+    a, b = degrees[n - 2], degrees[n - 1]
+    g = math.gcd(a, b)
+    step = b // g
+    inv = pow(a // g, -1, step)
+    check = tuple(degrees)
+    check_a, check_b = check[n - 2], check[n - 1]
     indices = tuple(range(1, n + 1))
     new = object.__new__
     set_counts = Decomposition._counts.__set__
     set_indices = Decomposition._indices.__set__
     set_prime = Decomposition.prime.__set__
     set_target = Decomposition.target.__set__
-    last = n - 1
-    a_last = degrees[last]
-    vec = [0] * n
-    rests = [D] * last  # rests[j] = the target left once c_1..c_j are fixed
+    last = n - 3  # the deepest index the search probes, 0-based
+    # Once c_1..c_j are fixed: rests[j] is the target left, prefixes[j] the
+    # tuple (c_1, ..., c_j) and heads[j] its dot product with ``check``.
+    rests = [D] * (last + 1)
+    prefixes = [()] * (last + 1)
+    heads = [0] * (last + 1)
     found = 0
     j, c = 0, 0
     while True:
@@ -341,17 +361,21 @@ def _walk(
             if j == 0:
                 break
             j -= 1
-            c = vec[j] + 1
-        elif j + 1 < last:
-            vec[j] = c
+            c = prefixes[j + 1][j] + 1  # the c after the one index j had
+            continue
+        prefix = prefixes[j] + (c,)
+        head = heads[j] + c * check[j]
+        if j < last:
             j += 1
             rests[j] = rest
+            prefixes[j] = prefix
+            heads[j] = head
             c = 0
-        else:
-            vec[j] = c
-            vec[last] = rest // a_last
-            counts = tuple(vec)
-            if sum(map(mul, counts, degrees)) != D:
+            continue
+        for c_a in range((rest // g) * inv % step, rest // a + 1, step):
+            c_b = (rest - c_a * a) // b
+            counts = prefix + (c_a, c_b)
+            if head + c_a * check_a + c_b * check_b != D:
                 raise IntegralityError(
                     f"enumerated multiplicities {counts} do not sum to {D} at p={p}"
                 )
@@ -362,7 +386,7 @@ def _walk(
             set_target(sol, D)
             found += 1
             yield sol
-            c += 1
+        c += 1
     if count is not None and found != count:
         raise IntegralityError(
             f"enumeration found {found} solutions but the count is {count}"

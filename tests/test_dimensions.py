@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from siegel_dims import arithmetic
 from siegel_dims.arithmetic import is_prime, parse_square_free_level
 from siegel_dims.dimensions import (
     dim_full_level,
@@ -120,6 +121,18 @@ class TestParamodular:
     def test_rejects_composite(self):
         with pytest.raises(InputError):
             dim_paramodular_weight4(15)
+
+    def test_certifies_the_prime_once(self, monkeypatch):
+        calls = []
+        real = arithmetic.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arithmetic, "is_prime", counting)
+        assert dim_paramodular_weight4(7919) == 109560
+        assert calls == [7919]
 
 
 class TestPrincipalPrime:

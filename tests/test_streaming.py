@@ -142,6 +142,21 @@ class TestTrustedConstruction:
         with pytest.raises(IntegralityError, match="do not sum to 15"):
             next(newforms._walk(Skewed(degrees), 3, 15))
 
+    @pytest.mark.parametrize("include_nonunitary", [False, True])
+    def test_walk_checks_every_index(self, include_nonunitary):
+        # The check covers the carried prefix and both closed-form terms: a
+        # degree seen one too high by iteration at any single index fails
+        # the walk at the target a_i, which the solution e_i reaches.
+        degrees = degrees_at(3)[: 17 if include_nonunitary else 15]
+        for i, d in enumerate(degrees):
+
+            class OneOff(tuple):
+                def __iter__(self, i=i):
+                    return (a + (k == i) for k, a in enumerate(tuple.__iter__(self)))
+
+            with pytest.raises(IntegralityError, match=f"do not sum to {d} "):
+                list(newforms._walk(OneOff(degrees), 3, d))
+
     @pytest.mark.parametrize("target,include_nonunitary", [
         (4000, False), (4001, True), (6007, False), (7000, False), (7999, False),
     ])
@@ -149,6 +164,52 @@ class TestTrustedConstruction:
         vectors = [s.vector for s in iter_decompositions(7, target, include_nonunitary)]
         assert len(vectors) == count_decompositions(7, target, include_nonunitary)
         assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+
+class TestClosedFormTail:
+    """The walk solves c_(n-1) and c_n in closed form, over one residue
+    class of c_(n-1); the count is the independent oracle."""
+
+    # Per (p, include_nonunitary), the largest target up to which every
+    # target has at most 5000 solutions.
+    BOUNDS = {
+        (3, False): 269, (3, True): 167, (5, False): 1949, (5, True): 973,
+        (7, False): 6649, (7, True): 2847, (11, False): 32757, (11, True): 11461,
+        (13, False): 57459, (13, True): 19119,
+    }
+
+    @given(st.sampled_from(sorted(BOUNDS)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_count(self, case, data):
+        p, include_nonunitary = case
+        target = data.draw(st.integers(min_value=0, max_value=self.BOUNDS[case]))
+        solutions = list(iter_decompositions(p, target, include_nonunitary))
+        vectors = [s.vector for s in solutions]
+        assert all(a < b for a, b in zip(vectors, vectors[1:]))
+        for sol in solutions:
+            assert sol == Decomposition(sol.multiplicities, p, target)
+        assert len(solutions) == count_decompositions(p, target, include_nonunitary)
+
+    @pytest.mark.parametrize("p,include_nonunitary", sorted(BOUNDS))
+    def test_zero_and_below_the_smallest_degree(self, p, include_nonunitary):
+        n = 17 if include_nonunitary else 15
+        assert [s.vector for s in iter_decompositions(p, 0, include_nonunitary)] == [(0,) * n]
+        below = min(degrees_at(p)[:n]) - 1
+        assert list(iter_decompositions(p, below, include_nonunitary)) == []
+
+    # Targets (step + 1) * a_(n-1), with step = a_n / gcd(a_(n-1), a_n): the
+    # first residue of c_(n-1) is 1, and the class holds 1 and step + 1.
+    @pytest.mark.parametrize("p,include_nonunitary,target,first_two", [
+        (5, False, 9 * 65, [(1, 13), (9, 0)]),
+        (5, True, 13 * 26, [(1, 13), (13, 0)]),
+        (7, False, 19 * 175, [(1, 25), (19, 0)]),
+        (7, True, 25 * 50, [(1, 25), (25, 0)]),
+    ])
+    def test_nonzero_first_residue(self, p, include_nonunitary, target, first_two):
+        vectors = [s.vector for s in iter_decompositions(p, target, include_nonunitary)]
+        n = 17 if include_nonunitary else 15
+        assert vectors[:2] == [(0,) * (n - 2) + tail for tail in first_two]
+        assert vectors == naive_solutions_up_to(p, target, include_nonunitary)[target]
 
 
 class TestDecompositionStorage:
@@ -302,6 +363,19 @@ class TestCountedWalk:
         finally:
             tracemalloc.stop()
         assert peak - 14 * (D + 1) < (D + 1) // 2
+
+    def test_walk_holds_n_minus_2_rows(self):
+        # The last two multiplicities are solved in closed form, so the walk
+        # builds the 13 rows 1..n-2 and no row for index n.
+        D = 2 * 10**6
+        walk = iter_decompositions(47, D)
+        tracemalloc.start()
+        try:
+            assert list(walk) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 13 * (D + 1) < (D + 1) // 2
 
 
 def test_newform_report_marks_targets_over_the_limit():
