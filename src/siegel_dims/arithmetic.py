@@ -9,7 +9,7 @@ dimension formulas need.  Nothing here ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     EvenLevelError,
@@ -122,14 +122,6 @@ class SquareFreeLevel(_Frozen):
         return str(self.N)
 
 
-# Trial division looks for factors up to this bound, so every level whose
-# second-largest prime factor is at most the bound factors by trial division
-# alone; a composite cofactor left past it goes to Pollard--Brent rho, which
-# splits a product of two primes near 10^6 in about 1 ms, where trial division
-# up to the smaller one took 30 ms.
-_TRIAL_DIVISION_BOUND = 2**8
-
-
 def _pollard_brent(n: int) -> int:
     """A proper factor of the odd composite n, by Pollard's rho with Brent's
     cycle detection and batched gcds (Brent 1980, "An improved Monte Carlo
@@ -179,8 +171,8 @@ def parse_square_free_level(N: int) -> SquareFreeLevel:
     at or above ``PRIMALITY_CERTIFIED_BOUND`` are refused before any
     division, since their factors could not all be certified prime.
 
-    Factors up to ``_TRIAL_DIVISION_BOUND`` are found by trial division; the
-    cofactor left after it, if composite, is split by Pollard--Brent rho.
+    N is split by Pollard--Brent rho alone, each factor certified by
+    :func:`is_prime`; the square check runs on the sorted primes.
     """
     if N < 3:
         raise InputError(f"level must be at least 3, got {N}")
@@ -188,31 +180,10 @@ def parse_square_free_level(N: int) -> SquareFreeLevel:
         raise InputError(f"levels are only factored below {PRIMALITY_CERTIFIED_BOUND}; got {N}")
     if N % 2 == 0:
         raise EvenLevelError(f"level must be odd, got {N}")
-    primes = []
-    rest = N
-    d = 3
-    stop = isqrt(rest)
-    if stop > _TRIAL_DIVISION_BOUND:
-        stop = _TRIAL_DIVISION_BOUND
-    while d <= stop:
-        if rest % d == 0:
-            rest //= d
-            if rest % d == 0:
-                raise NotSquareFreeError(N, d)
-            primes.append(d)
-            stop = isqrt(rest)
-            if stop > _TRIAL_DIVISION_BOUND:
-                stop = _TRIAL_DIVISION_BOUND
-        d += 2
-    if rest > 1:
-        if d * d > rest:
-            primes.append(rest)
-        else:
-            large = sorted(_prime_factors(rest))
-            for p, q in zip(large, large[1:]):
-                if p == q:
-                    raise NotSquareFreeError(N, p)
-            primes += large
+    primes = sorted(_prime_factors(N))
+    for p, q in zip(primes, primes[1:]):
+        if p == q:
+            raise NotSquareFreeError(N, p)
     return SquareFreeLevel(tuple(primes))
 
 

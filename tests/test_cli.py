@@ -457,3 +457,10 @@ class TestLevelsPastTrialDivision:
     def test_dim_principal(self):
         argv = ("dim", "--family", "principal", "--weight", "4", "--level", str(self.LEVEL))
         assert self.run_cli(*argv) == (0, f"{dim_principal(4, self.LEVEL)}\n", "")
+
+    def test_repeated_small_prime_behind_a_hard_cofactor(self):
+        # 3^2 * 600000000031 * 601000000001: rho splits the cofactor of about
+        # 3.6e23 before the repeated 3 is seen.
+        level = "3245400000173079000000279"
+        assert self.run_cli("bounds", "--weight", "4", "--level", level) == (
+            1, "", f"error: level {level} is not square-free: 3^2 divides it\n")

@@ -241,6 +241,24 @@ def test_each_phase_alone_matches_reference_dp(monkeypatch, p, fill):
         ]
 
 
+@given(st.sampled_from(ODD_PRIMES), st.booleans(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_deleting_a_degree_matches_the_shifted_difference(p, include_nonunitary, data):
+    # (1 - x^(a_j)) * F_S = F_(S without j), so
+    # count_S(D) - count_S(D - a_j) = count_(S without j)(D).  Both sides run
+    # the same halving code, so this is a consistency check at targets where
+    # the row-order DP above is too slow, not an independent oracle.
+    degrees = newforms._degrees_for(p, 0, include_nonunitary)
+    j = data.draw(st.integers(min_value=0, max_value=len(degrees) - 1), label="j")
+    D = data.draw(st.integers(min_value=0, max_value=10**5), label="D")
+    full = count_decompositions(p, D, include_nonunitary)
+    shifted = count_decompositions(p, D - degrees[j], include_nonunitary) if D >= degrees[j] else 0
+    without_j = degrees[:j] + degrees[j + 1 :]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newforms, "_degrees_for", lambda p, D, include_nonunitary: without_j)
+        assert full - shifted == count_decompositions(p, D, include_nonunitary)
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_count_at_p47_at_the_limit_stays_small():
     # The parity slice empties P while it is still a handful of terms; a list

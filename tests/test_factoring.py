@@ -1,6 +1,6 @@
-"""Factoring of levels: trial division for small factors, Pollard--Brent rho
-for what is left past the trial-division bound, and the certified bound
-checked before any division."""
+"""Factoring of levels: Pollard--Brent rho for every odd level, checked
+against a plain trial-division reference, and the certified bound checked
+before any division."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from siegel_dims.arithmetic import (
     PRIMALITY_CERTIFIED_BOUND,
-    _TRIAL_DIVISION_BOUND,
     _pollard_brent,
     is_prime,
     parse_square_free_level,
@@ -19,9 +18,9 @@ from siegel_dims.errors import InputError, NotSquareFreeError
 
 
 def trial_division(N):
-    """Factoring by trial division alone, as the library did before rho:
-    (sorted primes, None), or (None, repeated prime) for the first prime found
-    whose square divides N."""
+    """The reference factoring, by trial division alone: (sorted primes,
+    None), or (None, repeated prime) for the first prime found whose square
+    divides N."""
     primes, rest, d = [], N, 3
     while d * d <= rest:
         if rest % d == 0:
@@ -42,14 +41,13 @@ def next_prime(n):
     return n
 
 
-# Primes past the trial-division bound, so products of them reach rho.
-LARGE_PRIMES = [next_prime(_TRIAL_DIVISION_BOUND + 1), next_prime(3 * 10**6),
+# Primes from 257 up: products of them are composites with no small factor.
+LARGE_PRIMES = [next_prime(257), next_prime(3 * 10**6),
                 next_prime(2**24), next_prime(10**8), next_prime(2**28)]
 SMALL_PRIMES = [3, 5, 7, 11, 13, 1009, 65537]
 
 
-@given(st.integers(min_value=3, max_value=10**6 - 1).filter(lambda n: n % 2))
-def test_factors_and_repeated_prime_agree_with_trial_division(N):
+def assert_agrees_with_trial_division(N):
     primes, repeated = trial_division(N)
     if repeated is None:
         assert parse_square_free_level(N).primes == primes
@@ -57,6 +55,29 @@ def test_factors_and_repeated_prime_agree_with_trial_division(N):
         with pytest.raises(NotSquareFreeError) as info:
             parse_square_free_level(N)
         assert (info.value.level, info.value.prime) == (N, repeated)
+
+
+@given(st.integers(min_value=3, max_value=10**6 - 1).filter(lambda n: n % 2))
+def test_factors_and_repeated_prime_agree_with_trial_division(N):
+    assert_agrees_with_trial_division(N)
+
+
+def test_every_small_odd_level_agrees_with_trial_division():
+    for N in range(3, 20_002, 2):
+        assert_agrees_with_trial_division(N)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 41, 43, 97, 251, 257, 263, 65537])
+def test_every_prime_power_below_the_certified_bound_is_named(p):
+    # p^k * m for k >= 2 and m = 1, a small prime other than p, or 1000003:
+    # rho has to split p^k, alone or next to another factor.
+    for m in (1, 5 if p == 3 else 3, 1000003):
+        k = 2
+        while p**k * m < PRIMALITY_CERTIFIED_BOUND:
+            with pytest.raises(NotSquareFreeError) as info:
+                parse_square_free_level(p**k * m)
+            assert (info.value.level, info.value.prime) == (p**k * m, p)
+            k += 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,7 +112,8 @@ def test_large_square_free_levels(primes):
 
 @pytest.mark.parametrize("primes", [(251, 257), (257, 263), (3, 251, 257)])
 def test_levels_that_straddle_the_trial_division_bound(primes):
-    # 251 < 2^8 < 257 < 263: trial division finds 251, rho splits 257 * 263.
+    # 251 < 2^8 < 257 < 263: the primes around 2^8, where trial division
+    # used to hand the cofactor to rho; rho now splits all of them.
     assert parse_square_free_level(math.prod(primes)).primes == primes
 
 
