@@ -227,8 +227,10 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
     compares the list that the step would write, of min(max exponent + sum
     of the odd b <= D, D) + 1 entries, with P's number of terms; once the
     list is less than ``_DENSE_FILL`` = 16 times longer, P is written into
-    it and the remaining steps run on the list, one slice addition per odd
-    b.  Both phases take the same step, so the argument above covers both.
+    it and stays a list.  One loop takes every step; the two forms of P
+    differ only in the multiply-and-slice, and :func:`_count_dense` is that
+    step on the list, one slice addition per odd b, so the argument above
+    covers both.
     Each step lengthens P by at most sum a_n, and never past degree D,
     before the parity slice halves it, so the list holds O(min(D, sum a_n))
     integers, and while P is sparse the count holds about its terms only: a
@@ -237,45 +239,40 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
     15 * sum a_n * log2(D) additions (17 with the non-unitary rows).
     """
     exponents = _degrees_for(p, D, include_nonunitary)
-    terms = {0: 1}
+    numerator: dict[int, int] | list[int] = {0: 1}
     while D:
         odd = [b for b in exponents if b & 1 and b <= D]
-        if _DENSE_FILL * len(terms) > min(max(terms) + sum(odd), D) + 1:
-            numerator = [0] * (max(terms) + 1)
-            for e, c in terms.items():
-                numerator[e] = c
-            return _count_dense(numerator, exponents, D)
-        for b in odd:
-            product = terms.copy()
-            for e, c in terms.items():
-                if e + b <= D:
-                    product[e + b] = product.get(e + b, 0) + c
-            terms = product
-        parity = D & 1
-        terms = {e >> 1: c for e, c in terms.items() if e & 1 == parity}
-        if not terms:
-            return 0
-        exponents = [b if b & 1 else b >> 1 for b in exponents]
-        D >>= 1
-    return terms[0]
-
-
-def _count_dense(numerator: list[int], exponents: Sequence[int], D: int) -> int:
-    """The halving steps of :func:`count_decompositions` from D down, on P
-    held as the list of its coefficients, numerator[e] at x^e."""
-    while D:
-        for b in exponents:
-            if b & 1 and b <= D:
-                n = min(len(numerator) + b, D + 1)
-                numerator += [0] * (n - len(numerator))
-                # Both slices on the right are copies: old coefficients.
-                numerator[b:] = map(add, numerator[b:], numerator[: n - b])
-        numerator = numerator[D & 1 :: 2]
+        sparse = isinstance(numerator, dict)
+        if sparse and _DENSE_FILL * len(numerator) > min(max(numerator) + sum(odd), D) + 1:
+            dense = [0] * (max(numerator) + 1)
+            for e, c in numerator.items():
+                dense[e] = c
+            numerator = dense
+        if isinstance(numerator, list):
+            numerator = _count_dense(numerator, odd, D)
+        else:
+            for b in odd:
+                for e, c in numerator.copy().items():
+                    if e + b <= D:
+                        numerator[e + b] = numerator.get(e + b, 0) + c
+            numerator = {e >> 1: c for e, c in numerator.items() if e & 1 == D & 1}
         if not numerator:
             return 0
         exponents = [b if b & 1 else b >> 1 for b in exponents]
         D >>= 1
     return numerator[0]
+
+
+def _count_dense(numerator: list[int], odd: Sequence[int], D: int) -> list[int]:
+    """One halving step of :func:`count_decompositions` on P held as the list
+    of its coefficients, numerator[e] at x^e: multiply by (1 + x^b) for each
+    b in ``odd``, truncated to degree D, and keep the entries of D's parity."""
+    for b in odd:
+        n = min(len(numerator) + b, D + 1)
+        numerator += [0] * (n - len(numerator))
+        # Both slices on the right are copies: old coefficients.
+        numerator[b:] = map(add, numerator[b:], numerator[: n - b])
+    return numerator[D & 1 :: 2]
 
 
 def iter_decompositions(

@@ -432,6 +432,13 @@ class TestAnswersWiderThan4300Digits:
         assert (code, out) == (1, "")
         assert "comma-separated list of integers" in err
 
+    def test_interpreter_without_the_limit(self, capsys, monkeypatch):
+        # Python 3.10.0-3.10.6 has no digit limit and nothing to lift.
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        with _unlimited_digits():
+            pass
+        assert run(capsys, "dim", "--family", "full", "--weight", "20") == (0, "3\n", "")
+
 
 class TestLevelsPastTrialDivision:
     """1000000007 * 1000000009 is past the reach of trial division alone; the

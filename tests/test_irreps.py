@@ -1,7 +1,15 @@
+import dataclasses
+
 import pytest
 
+from siegel_dims import irreps
 from siegel_dims.arithmetic import is_prime
-from siegel_dims.errors import EvenPrimeError, IndexOutOfRangeError, NotPrimeError
+from siegel_dims.errors import (
+    EvenPrimeError,
+    IndexOutOfRangeError,
+    IntegralityError,
+    NotPrimeError,
+)
 from siegel_dims.irreps import TABLE, irrep_dim, table_at, unitary_dims
 
 ODD_PRIMES_TO_100 = [p for p in range(3, 101) if is_prime(p)]
@@ -94,6 +102,20 @@ class TestErrors:
     def test_even_prime(self):
         with pytest.raises(EvenPrimeError):
             irrep_dim(1, 2)
+
+    def test_odd_numerator_of_a_halved_row(self, monkeypatch):
+        # Row 13 is p(p+1)^2 / 2; one more in its numerator cannot be halved.
+        table = list(irreps.TABLE)
+        entry = table[12]
+        table[12] = dataclasses.replace(entry, numerator=lambda p: entry.numerator(p) + 1)
+        monkeypatch.setattr(irreps, "TABLE", tuple(table))
+        irreps.degrees_at.cache_clear()
+        try:
+            with pytest.raises(IntegralityError, match="row 13: .* odd numerator 181 at p=5"):
+                irreps.degrees_at(5)
+        finally:
+            monkeypatch.undo()
+            irreps.degrees_at.cache_clear()
 
 
 def test_table_export_shape():

@@ -301,6 +301,22 @@ class TestAnalyzeLevel:
         assert "c14=1" in text
         assert "Saito-Kurokawa" in text
 
+    def test_unique_decomposition_of_several_representations(self, monkeypatch):
+        # No tabulated dimension has a unique decomposition of total
+        # multiplicity above 1; at a stand-in dimension of 12 at p = 3 the one
+        # solution is 2 * a_15.
+        monkeypatch.setattr("siegel_dims.newforms.dim_principal_prime", lambda k, p: 12)
+        monkeypatch.setattr("siegel_dims.newforms.bounds_prime",
+                            lambda k, p: BoundPair(Fraction(1), Fraction(2)))
+        report = analyze_level(4, 3)
+        assert [s.nonzero() for s in report.solutions] == [{15: 2}]
+        assert report.newform_dimension == 2
+        assert report.unique_solution_note == (
+            "the decomposition is unique, so 2 automorphic representations "
+            "account for the whole space"
+        )
+        assert report.local_component is None
+
     def test_counts_once(self, monkeypatch):
         calls = []
 
