@@ -109,7 +109,7 @@ class SquareFreeLevel(_Frozen):
             if p < 3 or p % 2 == 0:
                 raise EvenLevelError(f"prime factors must be odd and >= 3, got {p}")
             require_prime(p)
-        object.__setattr__(self, "primes", primes)
+        super().__init__(primes)
 
     @property
     def N(self) -> int:

@@ -82,17 +82,21 @@ class IntegralityError(SiegelDimsError, ArithmeticError):
 class _Frozen:
     """An immutable value whose fields are named by ``__match_args__``.
 
-    A subclass declares its storage in ``__slots__`` and fills the slots in
-    its ``__init__`` with ``object.__setattr__``.  Instances compare equal
-    when their classes and field tuples are equal, hash by the field tuple,
-    print as ``Name(field=value, ...)`` and copy and pickle through their
-    constructor.  Assignment and deletion raise
+    A subclass declares its storage in ``__slots__`` and passes its values,
+    in slot order, to ``_Frozen.__init__``, which fills the slots.
+    Instances compare equal when their classes and field tuples are equal,
+    hash by the field tuple, print as ``Name(field=value, ...)`` and copy
+    and pickle through their constructor.  Assignment and deletion raise
     :class:`dataclasses.FrozenInstanceError`, the type callers caught when
     these classes were frozen dataclasses; it is imported only on that error
     path, so loading the package does not load ``dataclasses``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

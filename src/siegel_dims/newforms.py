@@ -124,11 +124,7 @@ class Decomposition(_Frozen):
     __hash__ = None
 
     def __init__(self, multiplicities: dict[int, int], prime: int, target: int):
-        init = object.__setattr__
-        init(self, "_indices", tuple(multiplicities))
-        init(self, "_counts", tuple(multiplicities.values()))
-        init(self, "prime", prime)
-        init(self, "target", target)
+        super().__init__(tuple(multiplicities.values()), tuple(multiplicities), prime, target)
         self.__post_init__()
 
     def __post_init__(self):

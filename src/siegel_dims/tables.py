@@ -40,12 +40,7 @@ class TableSpec(_Frozen):
 
     def __init__(self, family: str, weights: tuple[int, ...] = (), levels: tuple[int, ...] = (),
                  fmt: str = "text", group_digits: bool = False):
-        init = object.__setattr__
-        init(self, "family", family)
-        init(self, "weights", weights)
-        init(self, "levels", levels)
-        init(self, "fmt", fmt)
-        init(self, "group_digits", group_digits)
+        super().__init__(family, weights, levels, fmt, group_digits)
 
 
 def _validate(spec: TableSpec) -> None:

@@ -8,12 +8,12 @@ the JSON rendering is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dimensions, irreps, newforms
 from .arithmetic import parse_square_free_level
-from .errors import IntegralityError
+from .errors import IntegralityError, _Frozen
 
 REPORT_VERSION = 1
 
@@ -31,13 +31,8 @@ PRINCIPAL_LEVEL5_TABLE = {
 QUOTED_LEVEL15_WEIGHT4 = 69023360250000000
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    source: str
-    expected: str
-    computed: str
-    passed: bool
+class Check(_Frozen):
+    __slots__ = __match_args__ = ("name", "source", "expected", "computed", "passed")
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,7 @@ class VerificationReport:
             "overall": "pass" if self.passed else "fail",
             "total": len(self.checks),
             "failed": len(self.failures),
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [dict(zip(c.__match_args__, c._fields())) for c in self.checks],
         }
 
     def to_json(self) -> str:

@@ -8,7 +8,9 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -257,6 +259,70 @@ def test_deleting_a_degree_matches_the_shifted_difference(p, include_nonunitary,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(newforms, "_degrees_for", lambda p, D, include_nonunitary: without_j)
         assert full - shifted == count_decompositions(p, D, include_nonunitary)
+
+
+# --- the polynomial part, at targets far past any DP ---------------------------
+
+
+def bernoulli_plus(top):
+    """B_0^+ .. B_top^+, from sum over j <= k of C(k + 1, j) B_j^+ = k + 1."""
+    numbers = []
+    for k in range(top + 1):
+        rest = sum(comb(k + 1, j) * b for j, b in enumerate(numbers))
+        numbers.append((k + 1 - rest) / Fraction(k + 1))
+    return numbers
+
+
+def polynomial_part(degrees, D):
+    """P0(D), the part of the count from the pole of prod 1/(1 - x^a) at x = 1
+    (Beck and Robins, Computing the Continuous Discretely, ch. 1):
+    (1 / prod a) sum_j D^j / j! [t^(n - 1 - j)] prod T(a t), where
+    T(x) = x / (1 - e^(-x)) = sum_k B_k^+ x^k / k!.  It shares no code with
+    the halving count."""
+    n = len(degrees)
+    bernoulli = bernoulli_plus(n - 1)
+    series = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for a in degrees:
+        factor = [bernoulli[k] * a**k / factorial(k) for k in range(n)]
+        series = [sum(series[i] * factor[m - i] for i in range(m + 1)) for m in range(n)]
+    residue = sum(Fraction(D**j, factorial(j)) * series[n - 1 - j] for j in range(n))
+    return residue / prod(degrees)
+
+
+def pole_order(degrees):
+    """The largest order of a pole at a root of unity other than 1: the most
+    degrees one m >= 2 divides.  count - P0 has degree at most one less."""
+    return max(sum(a % m == 0 for a in degrees) for m in range(2, max(degrees) + 1))
+
+
+@given(st.sampled_from((3, 5)), st.booleans(), st.integers(40, 50), st.integers(0, 10**9))
+@settings(max_examples=3, deadline=None)
+def test_count_matches_its_polynomial_part(p, include_nonunitary, e, r):
+    # The error has degree k - 1, so the bound is D^(k - 1): D^k would exceed
+    # the count itself at p = 3 up to e of about 36.
+    degrees = newforms._degrees_for(p, 0, include_nonunitary)
+    k = pole_order(degrees)
+    assert k == (15 if include_nonunitary else 13)
+    D = 10**e + r
+    bound = D ** (k - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newforms, "MAX_ENUMERATION_TARGET", D)
+        count = count_decompositions(p, D, include_nonunitary)
+    assert abs(count - polynomial_part(degrees, D)) < bound
+    assert count > 10**20 * bound
+
+
+def test_polynomial_part_catches_a_degree_off_by_one(monkeypatch):
+    degrees = newforms._degrees_for(3, 0, False)
+    D = 10**40 + 12345
+    p0 = polynomial_part(degrees, D)
+    bound = D ** (pole_order(degrees) - 1)
+    monkeypatch.setattr(newforms, "MAX_ENUMERATION_TARGET", D)
+    assert abs(count_decompositions(3, D) - p0) < bound
+    for j in range(len(degrees)):
+        mutated = degrees[:j] + (degrees[j] + 1,) + degrees[j + 1 :]
+        monkeypatch.setattr(newforms, "_degrees_for", lambda p, D, include_nonunitary: mutated)
+        assert abs(count_decompositions(3, D) - p0) >= bound, j
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

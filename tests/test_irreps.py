@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +44,23 @@ def test_polynomial_identities(p):
     assert irrep_dim(2, p) == p * irrep_dim(10, p)
     assert irrep_dim(4, p) == p**4
     assert irrep_dim(5, p) == irrep_dim(4, p) - 1
+
+
+def formula_as_python(formula):
+    """A row's printed formula as a Python expression in p: ``*`` where two
+    factors are juxtaposed, ``**`` for ``^``."""
+    expression = re.sub(r"(?<=[\dp)])(?=[p(])", "*", formula).replace("^", "**")
+    assert set(expression) <= set("p0123456789+-*/()"), formula
+    return expression
+
+
+@pytest.mark.parametrize("entry", TABLE, ids=lambda e: f"row{e.index}")
+def test_printed_formula_is_the_degree(entry):
+    expression = formula_as_python(entry.formula)
+    for p in range(3, 200):
+        if is_prime(p):
+            value = eval(expression, {"__builtins__": {}}, {"p": Fraction(p)})
+            assert value == irrep_dim(entry.index, p), (entry.formula, p)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_TO_100)
