@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
     p_dim.add_argument("--family", required=True, choices=FAMILIES)
     add_weight_flags(p_dim, single_only=True)
     add_level_flags(p_dim, single_only=True)
-    p_dim.set_defaults(weights=None, levels=None)
+    p_dim.set_defaults(handler=_cmd_dim, weights=None, levels=None)
 
     p_table = sub.add_parser("table", help="a dimension table")
     p_table.add_argument("--family", required=True, choices=FAMILIES)
@@ -94,12 +94,14 @@ def build_parser() -> _Parser:
     p_table.add_argument("--format", default="text", choices=FORMATS)
     p_table.add_argument("--group-digits", action="store_true",
                          help="comma-group big integers (text format only)")
+    p_table.set_defaults(handler=_cmd_table)
 
     p_bounds = sub.add_parser("bounds", help="newform dimension bounds")
     p_bounds.add_argument("--weight", type=int, required=True)
     p_bounds.add_argument("--level", type=int, required=True)
     p_bounds.add_argument("--integer-envelope", action="store_true",
                           help="print ceil(lower) and floor(upper) instead of fractions")
+    p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_dec = sub.add_parser("decompose", help="all multiplicity vectors reaching a target")
     p_dec.add_argument("--prime", type=int, required=True)
@@ -107,19 +109,23 @@ def build_parser() -> _Parser:
     p_dec.add_argument("--include-nonunitary", action="store_true")
     p_dec.add_argument("--max-solutions", type=int, default=DEFAULT_SOLUTION_CAP)
     p_dec.add_argument("--format", default="text", choices=("text", "json"))
+    p_dec.set_defaults(handler=_cmd_decompose)
 
     p_an = sub.add_parser("analyze", help="dimension, bounds and decomposition report")
     p_an.add_argument("--weight", type=int, required=True)
     p_an.add_argument("--prime", type=int, required=True)
     p_an.add_argument("--max-solutions", type=int, default=DEFAULT_SOLUTION_CAP)
     p_an.add_argument("--format", default="text", choices=("text", "json"))
+    p_an.set_defaults(handler=_cmd_analyze)
 
     p_ir = sub.add_parser("irreps", help="the GSp(4,F_p) character degree table at p")
     p_ir.add_argument("--prime", type=int, required=True)
     p_ir.add_argument("--format", default="text", choices=FORMATS)
+    p_ir.set_defaults(handler=_cmd_irreps)
 
     p_ver = sub.add_parser("verify", help="recompute every reference value")
     p_ver.add_argument("--format", default="text", choices=("text", "json"))
+    p_ver.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -241,22 +247,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "dim": _cmd_dim,
-    "table": _cmd_table,
-    "bounds": _cmd_bounds,
-    "decompose": _cmd_decompose,
-    "analyze": _cmd_analyze,
-    "irreps": _cmd_irreps,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except SystemExit as exc:  # argparse usage errors and --help
         code = exc.code
         return code if isinstance(code, int) else 1

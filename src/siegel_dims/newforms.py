@@ -298,10 +298,10 @@ def _walk(
     solutions come out in lexicographic order, and when D is unreachable the
     search ends after D // a_1 probes at index 1.
 
-    The solutions skip the validating constructor.  Each level carries its
-    prefix (c_1, ..., c_j) and that prefix's dot product with the degrees,
-    read by iteration, so every solution is checked against D as the full
-    dot product of the tuple it holds, at the cost of two products.  Given
+    The solutions skip the validating constructor.  The search keeps
+    c_1, ..., c_(n-2) in one list and carries each prefix's dot product with
+    the degrees, so every solution is checked against D as the full dot
+    product of the tuple it holds, at the cost of two products.  Given
     ``count``, the walk counts what it yields and raises
     :class:`IntegralityError` at its end if it found a different number: the
     one place the enumeration is checked against the count.
@@ -336,10 +336,10 @@ def _walk(
     set_prime = Decomposition.prime.__set__
     set_target = Decomposition.target.__set__
     last = n - 3  # the deepest index the search probes, 0-based
-    # Once c_1..c_j are fixed: rests[j] is the target left, prefixes[j] the
-    # tuple (c_1, ..., c_j) and heads[j] its dot product with ``check``.
+    # path holds c_1..c_(n-2).  Once c_1..c_j are fixed: rests[j] is the
+    # target left and heads[j] the dot product of c_1..c_j with ``check``.
     rests = [D] * (last + 1)
-    prefixes = [()] * (last + 1)
+    path = [0] * (last + 1)
     heads = [0] * (last + 1)
     found = 0
     j, c = 0, 0
@@ -354,17 +354,17 @@ def _walk(
             if j == 0:
                 break
             j -= 1
-            c = prefixes[j + 1][j] + 1  # the c after the one index j had
+            c = path[j] + 1  # the c after the one index j had
             continue
-        prefix = prefixes[j] + (c,)
+        path[j] = c
         head = heads[j] + c * check[j]
         if j < last:
             j += 1
             rests[j] = rest
-            prefixes[j] = prefix
             heads[j] = head
             c = 0
             continue
+        prefix = tuple(path)
         for c_a in range((rest // g) * inv % step, rest // a + 1, step):
             c_b = (rest - c_a * a) // b
             counts = prefix + (c_a, c_b)

@@ -78,10 +78,6 @@ def build_rows(spec: TableSpec) -> tuple[str, list[tuple[int, int]]]:
     return ("p" if prime else "N"), rows
 
 
-def _grouped(n: int) -> str:
-    return f"{n:,}"
-
-
 def emit_table(spec: TableSpec) -> str:
     """Render the table; byte-identical output for identical specs."""
     axis, rows = build_rows(spec)
@@ -105,7 +101,7 @@ def emit_table(spec: TableSpec) -> str:
         )
 
     # text: aligned columns, optional digit grouping
-    fmt = _grouped if spec.group_digits else str
+    fmt = "{:,}".format if spec.group_digits else str
     body = [(str(a), fmt(d)) for a, d in rows]
     wa = max(len(axis), max((len(a) for a, _ in body), default=0))
     wd = max(3, max((len(d) for _, d in body), default=0))

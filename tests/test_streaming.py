@@ -3,6 +3,7 @@ validation, the tuple-backed ``Decomposition``, the solution cap, and the
 streamed CLI output."""
 
 import copy
+import itertools
 import json
 import os
 import pickle
@@ -164,6 +165,25 @@ class TestTrustedConstruction:
         vectors = [s.vector for s in iter_decompositions(7, target, include_nonunitary)]
         assert len(vectors) == count_decompositions(7, target, include_nonunitary)
         assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+
+def test_interleaved_walks_keep_separate_state():
+    # Walks advanced in turn give what each gives alone, and every solution
+    # holds a count tuple of its own, never a view of a walk's search state.
+    cases = [(3, 380, False), (5, 2500, False), (3, 120, True)]
+    interleaved = [[] for _ in cases]
+    streams = [iter_decompositions(*case) for case in cases]
+    for step in itertools.zip_longest(*streams):
+        for solutions, sol in zip(interleaved, step):
+            if sol is not None:
+                solutions.append(sol)
+    for (p, target, include_nonunitary), solutions in zip(cases, interleaved):
+        alone = iter_decompositions(p, target, include_nonunitary)
+        assert [s.vector for s in solutions] == [s.vector for s in alone]
+        n = 17 if include_nonunitary else 15
+        assert all(type(s._counts) is tuple and len(s._counts) == n for s in solutions)
+    everything = [s for solutions in interleaved for s in solutions]
+    assert len({id(s._counts) for s in everything}) == len(everything)
 
 
 class TestClosedFormTail:
