@@ -71,26 +71,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="siegel-dims", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_weight_flags(p, single_only=False):
-        p.add_argument("--weight", type=int, help="a single weight k")
-        if not single_only:
-            p.add_argument("--weights", help="inclusive weight range A..B")
-
-    def add_level_flags(p, single_only=False):
-        p.add_argument("--level", type=int, help="a single level N")
-        if not single_only:
-            p.add_argument("--levels", help="comma-separated levels L1,L2,...")
-
     p_dim = sub.add_parser("dim", help="one dimension value")
     p_dim.add_argument("--family", required=True, choices=FAMILIES)
-    add_weight_flags(p_dim, single_only=True)
-    add_level_flags(p_dim, single_only=True)
-    p_dim.set_defaults(handler=_cmd_dim, weights=None, levels=None)
+    p_dim.add_argument("--weight", type=int, help="a single weight k")
+    p_dim.add_argument("--level", type=int, help="a single level N")
+    p_dim.set_defaults(handler=_cmd_dim, weights=None, levels=None, format="text",
+                       group_digits=False)
 
     p_table = sub.add_parser("table", help="a dimension table")
     p_table.add_argument("--family", required=True, choices=FAMILIES)
-    add_weight_flags(p_table)
-    add_level_flags(p_table)
+    p_table.add_argument("--weight", type=int, help="a single weight k")
+    p_table.add_argument("--weights", help="inclusive weight range A..B")
+    p_table.add_argument("--level", type=int, help="a single level N")
+    p_table.add_argument("--levels", help="comma-separated levels L1,L2,...")
     p_table.add_argument("--format", default="text", choices=FORMATS)
     p_table.add_argument("--group-digits", action="store_true",
                          help="comma-group big integers (text format only)")
@@ -140,13 +133,13 @@ def _resolve_axis(single, many, parse):
     return ()
 
 
-def _table_spec(args, fmt="text", group_digits=False) -> TableSpec:
+def _table_spec(args) -> TableSpec:
     return TableSpec(
         family=args.family,
         weights=_resolve_axis(args.weight, args.weights, _parse_weights),
         levels=_resolve_axis(args.level, args.levels, _parse_levels),
-        fmt=fmt,
-        group_digits=group_digits,
+        fmt=args.format,
+        group_digits=args.group_digits,
     )
 
 
@@ -159,7 +152,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    spec = _table_spec(args, args.format, args.group_digits)
+    spec = _table_spec(args)
     with _unlimited_digits():
         sys.stdout.write(emit_table(spec))
     return 0

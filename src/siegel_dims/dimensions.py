@@ -40,6 +40,9 @@ _LINEAR_TERM_BY_K_MOD_12 = [
     (-1, -42), (-7, 91), (-7, 2), (-1, -27), (-1, 166), (17, -181),
 ]
 
+# Period-5 term indexed by k mod 5, over 5.
+_PENTIC_TERM_BY_K_MOD_5 = (1, 0, 0, -1, 0)
+
 
 def _require_weight(k: int, minimum: int) -> int:
     if k < minimum:
@@ -56,12 +59,7 @@ def dim_full_level(k: int) -> int:
     """
     _require_weight(k, 4)
     constant = Fraction(_CONST_TERM_BY_K_MOD_12[k % 12], 2**7 * 3**3)
-    if k % 5 == 0:
-        pentic = Fraction(1, 5)
-    elif k % 5 == 3:
-        pentic = Fraction(-1, 5)
-    else:
-        pentic = Fraction(0)
+    pentic = Fraction(_PENTIC_TERM_BY_K_MOD_5[k % 5], 5)
     slope, intercept = _LINEAR_TERM_BY_K_MOD_12[k % 12]
     linear = Fraction(slope * k + intercept, 2**5 * 3**3)
     if k % 2 == 0:

@@ -127,6 +127,9 @@ class Decomposition(_Frozen):
         super().__init__(tuple(multiplicities.values()), tuple(multiplicities), prime, target)
         self.__post_init__()
 
+    # A method of its own because bench/tracing.py wraps it by name to time
+    # solution construction; fold it into __init__ with the next change to
+    # the benchmark.
     def __post_init__(self):
         degrees = degrees_at(self.prime)
         top = len(degrees)
@@ -238,8 +241,7 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
     numerator: dict[int, int] | list[int] = {0: 1}
     while D:
         odd = [b for b in exponents if b & 1 and b <= D]
-        sparse = isinstance(numerator, dict)
-        if sparse and _DENSE_FILL * len(numerator) > min(max(numerator) + sum(odd), D) + 1:
+        if isinstance(numerator, dict) and _DENSE_FILL * len(numerator) > min(max(numerator) + sum(odd), D) + 1:
             dense = [0] * (max(numerator) + 1)
             for e, c in numerator.items():
                 dense[e] = c
@@ -327,6 +329,9 @@ def _walk(
     g = math.gcd(a, b)
     step = b // g
     inv = pow(a // g, -1, step)
+    # Not a redundant alias: ``check`` is the degrees as iteration reads
+    # them, while the search reads ``degrees`` by index, so a sequence whose
+    # two views differ fails the per-solution dot-product check.
     check = tuple(degrees)
     check_a, check_b = check[n - 2], check[n - 1]
     indices = tuple(range(1, n + 1))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegel_dims import arithmetic
+from siegel_dims import arithmetic, dimensions
 from siegel_dims.arithmetic import is_prime, parse_square_free_level
 from siegel_dims.dimensions import (
     dim_full_level,
@@ -21,6 +21,25 @@ from siegel_dims.errors import (
 )
 
 ODD_PRIMES_TO_97 = [p for p in range(3, 98) if is_prime(p)]
+
+
+def igusa_cusp_dims(top: int) -> list[int]:
+    """dim S_k(Sp(4,Z)) for k = 0..top, from Igusa's structure theorem alone.
+
+    The modular forms of degree 2 have the Hilbert series (1 + t^35) /
+    ((1 - t^4)(1 - t^6)(1 - t^10)(1 - t^12)), and the Siegel Phi operator
+    maps M_k onto M_k(SL(2,Z)), whose series is 1 / ((1 - t^4)(1 - t^6)),
+    with kernel S_k.  Both series are counted by coin change in integers.
+    """
+    def ways(parts):
+        counts = [1] + [0] * top
+        for part in parts:
+            for k in range(part, top + 1):
+                counts[k] += counts[k - part]
+        return counts
+
+    siegel, elliptic = ways((4, 6, 10, 12)), ways((4, 6))
+    return [siegel[k] + (siegel[k - 35] if k >= 35 else 0) - elliptic[k] for k in range(top + 1)]
 
 
 class TestFullLevel:
@@ -48,6 +67,19 @@ class TestFullLevel:
     def test_nonnegative_far_out(self):
         for k in range(4, 200):
             assert dim_full_level(k) >= 0
+
+    def test_matches_igusa_generators(self):
+        oracle = igusa_cusp_dims(2000)
+        assert [dim_full_level(k) for k in range(4, 2001)] == oracle[4:]
+
+    @pytest.mark.parametrize("residue", range(5))
+    def test_igusa_oracle_catches_a_corrupted_pentic_term(self, monkeypatch, residue):
+        corrupted = list(dimensions._PENTIC_TERM_BY_K_MOD_5)
+        corrupted[residue] += 5  # one unit in every k = residue mod 5 value
+        monkeypatch.setattr(dimensions, "_PENTIC_TERM_BY_K_MOD_5", corrupted)
+        oracle = igusa_cusp_dims(2000)
+        wrong = {k % 5 for k in range(4, 2001) if dim_full_level(k) != oracle[k]}
+        assert wrong == {residue}
 
 
 class TestGamma0:

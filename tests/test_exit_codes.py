@@ -10,9 +10,11 @@ so that no case walks more solutions than that.
 """
 
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -102,3 +104,20 @@ def test_every_argv_exits_0_1_or_2(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert stdout == "", argv
+
+
+def test_top_level_usage_lists_every_subcommand():
+    code, stdout = run(["--help"])
+    assert code == 0
+    choices = re.search(r"\{([a-z,]+)\}", stdout).group(1)
+    assert set(choices.split(",")) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_fuzzed_flags_are_the_parsers(command):
+    # The property above draws argvs from SUBCOMMANDS, so its flags, in the
+    # parser's order, must be the ones the usage paragraph names.
+    code, stdout = run([command, "--help"])
+    assert code == 0
+    usage = stdout.split("\n\n")[0]
+    assert re.findall(r"--[a-z][a-z-]*", usage) == [flag for flag, _, _ in SUBCOMMANDS[command]]
