@@ -9,7 +9,7 @@ dimension formulas need.  Nothing here ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     EvenLevelError,
@@ -100,6 +100,7 @@ class SquareFreeLevel(_Frozen):
     __slots__ = __match_args__ = ("primes",)
 
     def __init__(self, primes: tuple[int, ...]):
+        primes = tuple(primes)
         if not primes:
             raise InputError("a level needs at least one prime factor")
         for p, q in zip(primes, primes[1:]):
@@ -113,10 +114,7 @@ class SquareFreeLevel(_Frozen):
 
     @property
     def N(self) -> int:
-        n = 1
-        for p in self.primes:
-            n *= p
-        return n
+        return prod(self.primes)
 
     def __str__(self) -> str:
         return str(self.N)

@@ -18,6 +18,7 @@ because it can only mean a transcription bug.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .arithmetic import (
     SquareFreeLevel,
@@ -152,10 +153,7 @@ def hecke_factor(level: SquareFreeLevel) -> Fraction:
 
     Always a rational strictly between 0 and 1.
     """
-    m = Fraction(1)
-    for p in level.primes:
-        m *= (1 - Fraction(1, p * p)) * (1 - Fraction(1, p**4))
-    return m
+    return prod((1 - Fraction(1, p * p)) * (1 - Fraction(1, p**4)) for p in level.primes)
 
 
 # Quoted reference value for weight 4, level 15.  It equals 15^7 times the

@@ -30,7 +30,6 @@ from .dimensions import (
 )
 from .errors import (
     DEFAULT_SOLUTION_CAP,
-    IndexOutOfRangeError,
     InputError,
     IntegralityError,
     TooManySolutionsError,
@@ -109,14 +108,14 @@ class Decomposition(_Frozen):
     solutions of one walk share the index tuple 1..n, and the dict view is
     built only when ``multiplicities`` is read.
 
-    The constructor validates: ``__post_init__`` rejects a negative
-    multiplicity, an index outside the table and a sum other than the
-    target.  The walk behind :func:`iter_decompositions` builds its solutions
-    without that method and checks each one against the target instead: it
-    carries each prefix's dot product with the degree tuple down the search
-    and adds the last two terms, so the check is the full dot product of
-    the solution's counts.  Instances are immutable, compare by value and
-    are unhashable.
+    The constructor validates: ``__post_init__`` rejects a multiplicity that
+    is not an ``int`` or is negative, an index that :func:`irrep_dim`
+    refuses and a sum other than the target.  The walk behind
+    :func:`iter_decompositions` builds its solutions without that method and
+    checks each one against the target instead: it carries each prefix's dot
+    product with the degree tuple down the search and adds the last two
+    terms, so the check is the full dot product of the solution's counts.
+    Instances are immutable, compare by value and are unhashable.
     """
 
     __slots__ = ("_counts", "_indices", "prime", "target")
@@ -131,17 +130,14 @@ class Decomposition(_Frozen):
     # solution construction; fold it into __init__ with the next change to
     # the benchmark.
     def __post_init__(self):
-        degrees = degrees_at(self.prime)
-        top = len(degrees)
+        require_odd_prime(self.prime)
         total = 0
         for n, c in zip(self._indices, self._counts):
+            if type(c) is not int:
+                raise InputError(f"multiplicity c_{n} = {c!r} is not an integer")
             if c < 0:
                 raise InputError(f"multiplicity c_{n} = {c} is negative")
-            if not 1 <= n <= top:
-                raise IndexOutOfRangeError(
-                    f"representation index must be in 1..{top}, got {n}"
-                )
-            total += c * degrees[n - 1]
+            total += c * irrep_dim(n, self.prime)
         if total != self.target:
             raise InputError(
                 f"multiplicities sum to {total}, not the target {self.target}"
@@ -536,6 +532,7 @@ def analyze_level(
     fixed-vector behaviour.
     """
     _check_cap(max_solutions)
+    require_odd_prime(p)
     dimension = dim_principal_prime(k, p)
     bounds = bounds_prime(k, p)
     report = AnalysisReport(

@@ -40,7 +40,7 @@ class TableSpec(_Frozen):
 
     def __init__(self, family: str, weights: tuple[int, ...] = (), levels: tuple[int, ...] = (),
                  fmt: str = "text", group_digits: bool = False):
-        super().__init__(family, weights, levels, fmt, group_digits)
+        super().__init__(family, tuple(weights), tuple(levels), fmt, group_digits)
 
 
 def _validate(spec: TableSpec) -> None:
@@ -102,12 +102,10 @@ def emit_table(spec: TableSpec) -> str:
 
     # text: aligned columns, optional digit grouping
     fmt = "{:,}".format if spec.group_digits else str
-    body = [(str(a), fmt(d)) for a, d in rows]
-    wa = max(len(axis), max((len(a) for a, _ in body), default=0))
-    wd = max(3, max((len(d) for _, d in body), default=0))
-    lines = [f"{axis:>{wa}} {'dim':>{wd}}"]
-    lines += [f"{a:>{wa}} {d:>{wd}}" for a, d in body]
-    return "\n".join(lines) + "\n"
+    body = [(axis, "dim")] + [(str(a), fmt(d)) for a, d in rows]
+    wa = max(len(a) for a, _ in body)
+    wd = max(len(d) for _, d in body)
+    return "\n".join([f"{a:>{wa}} {d:>{wd}}" for a, d in body]) + "\n"
 
 
 def emit_irreps(p: int, fmt: str = "text") -> str:

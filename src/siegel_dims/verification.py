@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dimensions, irreps, newforms
-from .arithmetic import parse_square_free_level
+from .arithmetic import is_prime, parse_square_free_level
 from .errors import IntegralityError, _Frozen
 
 REPORT_VERSION = 1
@@ -162,7 +162,7 @@ def run_all_checks() -> VerificationReport:
                "lower bound times a_1(p) recovers the dimension (k 4..20)",
                True, identity))
 
-    odd_primes = [p for p in range(3, 101) if all(p % q for q in range(2, p))]
+    odd_primes = [p for p in range(3, 101, 2) if is_prime(p)]
     for name, identity, holds in (
         ("a13_plus_a15", "a_13(p) + a_15(p) = 2 a_14(p)",
          lambda a, p: a[13] + a[15] == 2 * a[14]),

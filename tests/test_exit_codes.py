@@ -121,3 +121,20 @@ def test_fuzzed_flags_are_the_parsers(command):
     assert code == 0
     usage = stdout.split("\n\n")[0]
     assert re.findall(r"--[a-z][a-z-]*", usage) == [flag for flag, _, _ in SUBCOMMANDS[command]]
+
+
+ODD_PRIME_ARGVS = [
+    *[["analyze", "--weight", str(k), "--prime", "2"] for k in range(4, 9)],
+    *[["bounds", "--weight", str(k), "--level", "2"] for k in range(4, 9)],
+    ["decompose", "--prime", "2", "--target", "15"],
+    *[["irreps", "--prime", "2", "--format", fmt] for fmt in FORMATS],
+]
+
+
+@pytest.mark.parametrize("argv", ODD_PRIME_ARGVS, ids=" ".join)
+def test_two_is_refused_where_an_odd_prime_is_required(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", "error: an odd prime is required, got 2\n")

@@ -9,9 +9,15 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from siegel_dims.arithmetic import SquareFreeLevel
-from siegel_dims.errors import EvenLevelError, InputError, NotPrimeError
+from siegel_dims.errors import (
+    EvenLevelError,
+    EvenPrimeError,
+    IndexOutOfRangeError,
+    InputError,
+    NotPrimeError,
+)
 from siegel_dims.newforms import Decomposition, decompose
-from siegel_dims.tables import TableSpec
+from siegel_dims.tables import TableSpec, emit_table
 
 # Every index 1..15 of a walk-built solution at p = 3, zeros included.
 WALK_MULTIPLICITIES = {n: 0 for n in range(1, 16)} | {14: 1}
@@ -193,3 +199,46 @@ class TestDecomposition:
 
 def test_decomposition_is_unhashable_by_declaration():
     assert Decomposition.__hash__ is None
+
+
+class TestSequencesAreStoredAsTuples:
+    def test_square_free_level_copies_a_list(self):
+        primes = [3, 5]
+        level = SquareFreeLevel(primes)
+        assert level == SquareFreeLevel((3, 5))
+        assert hash(level) == hash(SquareFreeLevel((3, 5)))
+        primes.append(9)
+        assert level.primes == (3, 5) and level.N == 15
+
+    def test_table_spec_copies_lists(self):
+        weights, levels = [4], [5, 7]
+        spec = TableSpec("principal", weights=weights, levels=levels)
+        assert spec == TableSpec("principal", (4,), (5, 7))
+        assert hash(spec) == hash(TableSpec("principal", (4,), (5, 7)))
+        weights.append(6)
+        levels.append(9)
+        assert (spec.weights, spec.levels) == ((4,), (5, 7))
+
+    def test_paramodular_spec_from_lists_renders(self):
+        assert emit_table(TableSpec("paramodular", weights=[4], levels=[5, 7])) == (
+            emit_table(TableSpec("paramodular", weights=(4,), levels=(5, 7))))
+
+
+class TestDecompositionValidation:
+    @pytest.mark.parametrize("count", [0.5, 1.0, "1", None])
+    def test_non_integer_multiplicity_is_refused(self, count):
+        with pytest.raises(InputError, match="is not an integer"):
+            Decomposition({11: count}, 3, 15)
+
+    def test_negative_multiplicity_message_is_kept(self):
+        with pytest.raises(InputError, match=r"^multiplicity c_14 = -1 is negative$"):
+            Decomposition({14: -1}, 3, -15)
+
+    def test_index_rule_is_irrep_dims(self):
+        with pytest.raises(IndexOutOfRangeError,
+                           match=r"^representation index must be in 1\.\.17, got 18$"):
+            Decomposition({18: 1}, 3, 0)
+
+    def test_prime_is_checked_without_terms(self):
+        with pytest.raises(EvenPrimeError):
+            Decomposition({}, 2, 0)
