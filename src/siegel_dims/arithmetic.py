@@ -103,6 +103,9 @@ class SquareFreeLevel(_Frozen):
         primes = tuple(primes)
         if not primes:
             raise InputError("a level needs at least one prime factor")
+        for p in primes:
+            if type(p) is not int:
+                raise InputError(f"prime factor {p!r} is not an integer")
         for p, q in zip(primes, primes[1:]):
             if p >= q:
                 raise InputError(f"prime factors must be strictly increasing, got {primes}")

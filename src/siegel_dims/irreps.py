@@ -85,6 +85,8 @@ def degrees_at(p: int) -> tuple[int, ...]:
 
 def irrep_dim(n: int, p: int) -> int:
     """Degree of row n (1..17) evaluated at the odd prime p."""
+    if type(n) is not int:
+        raise IndexOutOfRangeError(f"representation index {n!r} is not an integer")
     if not 1 <= n <= len(TABLE):
         raise IndexOutOfRangeError(f"representation index must be in 1..{len(TABLE)}, got {n}")
     return degrees_at(p)[n - 1]

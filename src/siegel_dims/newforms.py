@@ -15,9 +15,11 @@ report.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import add
 
 from .arithmetic import SquareFreeLevel, require_odd_prime
@@ -104,9 +106,10 @@ class Decomposition(_Frozen):
 
     ``multiplicities`` maps every index in play (1..15, or 1..17 when the
     non-unitary rows were included) to its multiplicity, zeros included.  A
-    solution is stored as a tuple of counts beside a tuple of indices; the
-    solutions of one walk share the index tuple 1..n, and the dict view is
-    built only when ``multiplicities`` is read.
+    solution stores two things: its own tuple of counts, and one
+    ``(indices, prime, target)`` tuple that every solution of a walk shares,
+    with the indices 1..n.  ``prime``, ``target`` and ``_indices`` read that
+    tuple, and the dict view is built only when ``multiplicities`` is read.
 
     The constructor validates: ``__post_init__`` rejects a multiplicity that
     is not an ``int`` or is negative, an index that :func:`irrep_dim`
@@ -118,12 +121,12 @@ class Decomposition(_Frozen):
     Instances are immutable, compare by value and are unhashable.
     """
 
-    __slots__ = ("_counts", "_indices", "prime", "target")
+    __slots__ = ("_counts", "_where")
     __match_args__ = ("multiplicities", "prime", "target")
     __hash__ = None
 
     def __init__(self, multiplicities: dict[int, int], prime: int, target: int):
-        super().__init__(tuple(multiplicities.values()), tuple(multiplicities), prime, target)
+        super().__init__(tuple(multiplicities.values()), (tuple(multiplicities), prime, target))
         self.__post_init__()
 
     # A method of its own because bench/tracing.py wraps it by name to time
@@ -142,6 +145,18 @@ class Decomposition(_Frozen):
             raise InputError(
                 f"multiplicities sum to {total}, not the target {self.target}"
             )
+
+    @property
+    def _indices(self) -> tuple[int, ...]:
+        return self._where[0]
+
+    @property
+    def prime(self) -> int:
+        return self._where[1]
+
+    @property
+    def target(self) -> int:
+        return self._where[2]
 
     @property
     def multiplicities(self) -> dict[int, int]:
@@ -282,6 +297,23 @@ def iter_decompositions(
     return _walk(_degrees_for(p, D, include_nonunitary), p, D)
 
 
+# The walk builds its solutions this many at a time; 256 and 1024 timed the
+# same.
+_BATCH = 1024
+
+
+def _build(batch: list[tuple[int, ...]], where: tuple) -> list[Decomposition]:
+    """One walk-built :class:`Decomposition` per count tuple in ``batch``,
+    each sharing ``where`` = (indices, prime, target).  The loops that make
+    the objects and fill their two slots run in C: this is the enumeration's
+    hot path, and it skips the validating constructor."""
+    k = len(batch)
+    built = list(map(object.__new__, repeat(Decomposition, k)))
+    deque(map(Decomposition._counts.__set__, built, batch), 0)
+    deque(map(Decomposition._where.__set__, built, repeat(where, k)), 0)
+    return built
+
+
 def _walk(
     degrees: tuple[int, ...], p: int, D: int, count: int | None = None
 ) -> Iterator[Decomposition]:
@@ -299,7 +331,12 @@ def _walk(
     The solutions skip the validating constructor.  The search keeps
     c_1, ..., c_(n-2) in one list and carries each prefix's dot product with
     the degrees, so every solution is checked against D as the full dot
-    product of the tuple it holds, at the cost of two products.  Given
+    product of the tuple it holds, at the cost of two products.  The checked
+    count tuples collect in a batch; once it holds ``_BATCH`` of them, and at
+    the end, :func:`_build` makes the batch's solutions, all sharing one
+    ``(indices, p, D)`` tuple, and the walk yields them.  So the stream runs
+    at most one batch ahead of what it has yielded, however many solutions
+    one prefix has.  Given
     ``count``, the walk counts what it yields and raises
     :class:`IntegralityError` at its end if it found a different number: the
     one place the enumeration is checked against the count.
@@ -330,12 +367,8 @@ def _walk(
     # two views differ fails the per-solution dot-product check.
     check = tuple(degrees)
     check_a, check_b = check[n - 2], check[n - 1]
-    indices = tuple(range(1, n + 1))
-    new = object.__new__
-    set_counts = Decomposition._counts.__set__
-    set_indices = Decomposition._indices.__set__
-    set_prime = Decomposition.prime.__set__
-    set_target = Decomposition.target.__set__
+    where = (tuple(range(1, n + 1)), p, D)
+    batch: list[tuple[int, ...]] = []
     last = n - 3  # the deepest index the search probes, 0-based
     # path holds c_1..c_(n-2).  Once c_1..c_j are fixed: rests[j] is the
     # target left and heads[j] the dot product of c_1..c_j with ``check``.
@@ -373,14 +406,14 @@ def _walk(
                 raise IntegralityError(
                     f"enumerated multiplicities {counts} do not sum to {D} at p={p}"
                 )
-            sol = new(Decomposition)
-            set_counts(sol, counts)
-            set_indices(sol, indices)
-            set_prime(sol, p)
-            set_target(sol, D)
-            found += 1
-            yield sol
+            batch.append(counts)
+            if len(batch) >= _BATCH:
+                found += len(batch)
+                yield from _build(batch, where)
+                batch.clear()
         c += 1
+    found += len(batch)
+    yield from _build(batch, where)
     if count is not None and found != count:
         raise IntegralityError(
             f"enumeration found {found} solutions but the count is {count}"

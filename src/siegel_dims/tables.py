@@ -40,7 +40,11 @@ class TableSpec(_Frozen):
 
     def __init__(self, family: str, weights: tuple[int, ...] = (), levels: tuple[int, ...] = (),
                  fmt: str = "text", group_digits: bool = False):
-        super().__init__(family, tuple(weights), tuple(levels), fmt, group_digits)
+        weights, levels = tuple(weights), tuple(levels)
+        for value in weights + levels:
+            if type(value) is not int:
+                raise InputError(f"weights and levels must be integers, got {value!r}")
+        super().__init__(family, weights, levels, fmt, group_digits)
 
 
 def _validate(spec: TableSpec) -> None:

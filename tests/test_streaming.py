@@ -3,6 +3,7 @@ validation, the tuple-backed ``Decomposition``, the solution cap, and the
 streamed CLI output."""
 
 import copy
+import hashlib
 import itertools
 import json
 import os
@@ -184,6 +185,99 @@ def test_interleaved_walks_keep_separate_state():
         assert all(type(s._counts) is tuple and len(s._counts) == n for s in solutions)
     everything = [s for solutions in interleaved for s in solutions]
     assert len({id(s._counts) for s in everything}) == len(everything)
+
+
+class TestBatchedConstruction:
+    """The walk builds its solutions ``_BATCH`` count tuples at a time; the
+    batch size changes nothing a caller can see."""
+
+    CASES = [(3, 380, False, 56102), (5, 2500, False, 24264), (3, 120, True, 868)]
+    SIZES = [1, 2, 3, None]  # None keeps the default
+
+    @staticmethod
+    def batch(monkeypatch, size):
+        if size is not None:
+            monkeypatch.setattr(newforms, "_BATCH", size)
+
+    @staticmethod
+    @cache
+    def default_vectors(p, target, include_nonunitary):
+        return [s.vector for s in iter_decompositions(p, target, include_nonunitary)]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("p,target,include_nonunitary,count", CASES)
+    def test_same_solutions_in_the_same_order(
+        self, monkeypatch, size, p, target, include_nonunitary, count
+    ):
+        expected = self.default_vectors(p, target, include_nonunitary)
+        self.batch(monkeypatch, size)
+        solutions = list(iter_decompositions(p, target, include_nonunitary))
+        assert len(solutions) == count == count_decompositions(p, target, include_nonunitary)
+        assert [s.vector for s in solutions] == expected
+        # One (indices, prime, target) tuple per walk, one count tuple per solution.
+        assert len({id(s._where) for s in solutions}) == 1
+        assert solutions[0]._where == (tuple(range(1, len(expected[0]) + 1)), p, target)
+        assert len({id(s._counts) for s in solutions}) == count
+
+    @pytest.mark.parametrize("size", [1, 3, 1024])
+    def test_the_stream_runs_at_most_one_batch_ahead(self, monkeypatch, size):
+        # At (3, 199980) the first prefix, c_1..c_13 = 0, alone has 6,667
+        # solutions; no batch may hold more than ``size`` of them.
+        sizes = []
+        build = newforms._build
+        monkeypatch.setattr(newforms, "_BATCH", size)
+        monkeypatch.setattr(newforms, "_build",
+                            lambda batch, where: sizes.append(len(batch)) or build(batch, where))
+        stream = iter_decompositions(3, 199980)
+        assert next(stream).vector == (0,) * 14 + (33330,)
+        assert sizes == [size]
+
+    @staticmethod
+    def failures(monkeypatch):
+        """The message of each IntegralityError the walk raises on the
+        one-off degrees at p = 3 and on a count one short, in order."""
+        messages = []
+        for include_nonunitary in (False, True):
+            degrees = degrees_at(3)[: 17 if include_nonunitary else 15]
+            for i, d in enumerate(degrees):
+
+                class OneOff(tuple):
+                    def __iter__(self, i=i):
+                        return (a + (k == i) for k, a in enumerate(tuple.__iter__(self)))
+
+                with pytest.raises(IntegralityError) as exc:
+                    list(newforms._walk(OneOff(degrees), 3, d))
+                messages.append(str(exc.value))
+        monkeypatch.setattr(newforms, "count_decompositions", lambda p, D, nu=False: 56101)
+        with pytest.raises(IntegralityError) as exc:
+            decompose(3, 380)
+        messages.append(str(exc.value))
+        return messages
+
+    @pytest.mark.parametrize("size", SIZES[:-1])
+    def test_same_integrity_failures(self, monkeypatch, size):
+        expected = self.failures(monkeypatch)
+        assert expected[-1] == "enumeration found 56102 solutions but the count is 56101"
+        self.batch(monkeypatch, size)
+        assert self.failures(monkeypatch) == expected
+
+
+# SHA-256 of the CLI's stdout, computed before the walk built its solutions
+# in batches.  At the default cap, (7, 7000) with the non-unitary rows has
+# 1,485,953 solutions and is refused, so the JSON pins are (7, 7000) without
+# them (7,114 solutions) and (7, 4001) with them (24,196 solutions).
+@pytest.mark.parametrize("argv,digest", [
+    (("--prime", 3, "--target", 380),
+     "8c98b94b40188e1eac306fa3ba7b38d48dfda0d2b80608c02a5665d5972c5c9f"),
+    (("--prime", 7, "--target", 7000, "--format", "json"),
+     "cfc95e00d5f9bc48326232cd79c18df801bfff2c29266738b3cc894b3606a1b4"),
+    (("--prime", 7, "--target", 4001, "--include-nonunitary", "--format", "json"),
+     "4a312380543447aa03c827fe2e4cb315be556b3629fe4de23eabdbc434bf22c5"),
+], ids=["3-380-text", "7-7000-json", "7-4001-nonunitary-json"])
+def test_cli_decompose_golden_output(capsys, argv, digest):
+    code, out, _ = run(capsys, "decompose", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestClosedFormTail:

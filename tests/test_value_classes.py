@@ -16,6 +16,7 @@ from siegel_dims.errors import (
     InputError,
     NotPrimeError,
 )
+from siegel_dims.irreps import irrep_dim
 from siegel_dims.newforms import Decomposition, decompose
 from siegel_dims.tables import TableSpec, emit_table
 
@@ -242,3 +243,26 @@ class TestDecompositionValidation:
     def test_prime_is_checked_without_terms(self):
         with pytest.raises(EvenPrimeError):
             Decomposition({}, 2, 0)
+
+
+class TestNonIntegerValuesAreRefused:
+    """Every integer field of the value classes takes only an ``int``, the
+    rule ``Decomposition`` applies to its counts."""
+
+    @pytest.mark.parametrize("primes", [[3.0, 5], [3, "5"], [True]])
+    def test_square_free_level(self, primes):
+        with pytest.raises(InputError, match="is not an integer"):
+            SquareFreeLevel(primes)
+
+    @pytest.mark.parametrize("index", [14.0, "14", None])
+    def test_decomposition_index_through_irrep_dim(self, index):
+        message = rf"^representation index {index!r} is not an integer$"
+        with pytest.raises(IndexOutOfRangeError, match=message):
+            irrep_dim(index, 3)
+        with pytest.raises(IndexOutOfRangeError, match=message):
+            Decomposition({index: 1}, 3, 15)
+
+    @pytest.mark.parametrize("weights,levels", [("10", ()), ((4,), (3.0,)), ((4.5,), ())])
+    def test_table_spec(self, weights, levels):
+        with pytest.raises(InputError, match="must be integers"):
+            TableSpec("principal", weights=weights, levels=levels)
