@@ -33,8 +33,11 @@ def is_prime(n: int) -> bool:
 
     Correct for every ``n`` below ``PRIMALITY_CERTIFIED_BOUND`` (about
     3.3e24); larger inputs raise :class:`InputError` instead of risking a
-    probabilistic answer.
+    probabilistic answer, and so does an ``n`` that is not an ``int``: the
+    one place a prime or a level is held to be one.
     """
+    if type(n) is not int:
+        raise InputError(f"{n!r} is not an integer")
     if n >= PRIMALITY_CERTIFIED_BOUND:
         raise InputError(
             f"primality is only certified below {PRIMALITY_CERTIFIED_BOUND}; got {n}"

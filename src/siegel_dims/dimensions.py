@@ -46,6 +46,8 @@ _PENTIC_TERM_BY_K_MOD_5 = (1, 0, 0, -1, 0)
 
 
 def _require_weight(k: int, minimum: int) -> int:
+    if type(k) is not int:
+        raise InputError(f"weight {k!r} is not an integer")
     if k < minimum:
         raise WeightOutOfRangeError(f"weight must be at least {minimum}, got {k}")
     return k

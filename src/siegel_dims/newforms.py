@@ -84,17 +84,12 @@ def bounds_squarefree(k: int, level: SquareFreeLevel) -> BoundPair:
     """Newform dimension bounds for S_k(Gamma(N)), odd square-free N.
 
     Both bounds share the full Gamma(N) dimension as numerator.  The lower
-    divisor is sum a_1(p_i); the upper divisor is 6 + sum_{i>=2} (p_i^2 - 1)
-    when 3 | N (the sorted-prime convention makes p_1 = 3 in that case) and
-    sum (p_i^2 - 1) when 3 does not divide N.
+    divisor is sum a_1(p_i); the upper divisor is the sum over the primes
+    p_i | N of p_i^2 - 1, except that p_i = 3 contributes 6, not 8.
     """
     dim = dim_principal(k, level)
-    primes = level.primes
-    lower_div = sum(irrep_dim(1, p) for p in primes)
-    if primes[0] == 3:
-        upper_div = 6 + sum(p * p - 1 for p in primes[1:])
-    else:
-        upper_div = sum(p * p - 1 for p in primes)
+    lower_div = sum(irrep_dim(1, p) for p in level.primes)
+    upper_div = sum(6 if p == 3 else p * p - 1 for p in level.primes)
     return BoundPair(Fraction(dim, lower_div), Fraction(dim, upper_div))
 
 
@@ -185,10 +180,12 @@ class Decomposition(_Frozen):
 
 def _degrees_for(p: int, D: int, include_nonunitary: bool) -> tuple[int, ...]:
     """a_1(p), a_2(p), ... for the indices in play, once p and then D are
-    checked.  The one place the target is held to MAX_ENUMERATION_TARGET.
-    The non-unitary rows are the last ones of the table, so leaving them out
-    is a slice."""
+    checked: the one place a target is held to be an ``int``, non-negative
+    and at most MAX_ENUMERATION_TARGET.  The non-unitary rows are the last
+    ones of the table, so leaving them out is a slice."""
     degrees = degrees_at(p)
+    if type(D) is not int:
+        raise InputError(f"target {D!r} is not an integer")
     if D < 0:
         raise InputError(f"target must be non-negative, got {D}")
     if D > MAX_ENUMERATION_TARGET:
@@ -489,8 +486,8 @@ class AnalysisReport:
     prime: int
     dimension: int
     bounds: BoundPair
-    solution_count: int | None
-    solutions: list[Decomposition] | None
+    solution_count: int | None = None
+    solutions: list[Decomposition] | None = None
     enumeration_note: str | None = None
     newform_dimension: int | None = None
     unique_solution_note: str | None = None
@@ -557,26 +554,19 @@ def analyze_level(
 ) -> AnalysisReport:
     """Dimension, bounds, and decomposition analysis of S_k(Gamma(p)).
 
-    When the decomposition is unique the newform dimension sum(c_n) is
-    derived, even when ``max_solutions`` (which must be non-negative) is too
-    small for the solution list to be kept.  For (k, p) = (4, 3) -- the one
-    case the tabulated Gamma_0 and paramodular dimensions settle -- the local
-    component is identified among the two degree-a_14 candidates via their
-    fixed-vector behaviour.
+    The solutions are counted when the dimension is within the enumeration
+    limit, and the walk runs only when its solutions are used: when they fit
+    ``max_solutions`` (which must be non-negative), or when the decomposition
+    is unique.  A unique decomposition gives the newform dimension sum(c_n)
+    even when the cap is too small for the solution list to be kept.  For
+    (k, p) = (4, 3) -- the one case the tabulated Gamma_0 and paramodular
+    dimensions settle -- the local component is identified among the two
+    degree-a_14 candidates via their fixed-vector behaviour.
     """
     _check_cap(max_solutions)
     require_odd_prime(p)
     dimension = dim_principal_prime(k, p)
-    bounds = bounds_prime(k, p)
-    report = AnalysisReport(
-        weight=k,
-        prime=p,
-        dimension=dimension,
-        bounds=bounds,
-        solution_count=None,
-        solutions=None,
-    )
-
+    report = AnalysisReport(k, p, dimension, bounds_prime(k, p))
     try:
         count = count_decompositions(p, dimension)
     except TooManySolutionsError:
@@ -587,17 +577,17 @@ def analyze_level(
         return report
 
     report.solution_count = count
-    solutions = _walk(_degrees_for(p, dimension, False), p, dimension, count)
+    if count <= max(max_solutions, 1):
+        solutions = list(_walk(_degrees_for(p, dimension, False), p, dimension, count))
     if count > max_solutions:
         report.enumeration_note = (
             f"solution list omitted: {count} solutions exceed the cap of {max_solutions}"
         )
     else:
-        report.solutions = list(solutions)
+        report.solutions = solutions
 
     if count == 1:
-        # Drained even when the list is omitted, so the count check runs.
-        only = (report.solutions or list(solutions))[0]
+        [only] = solutions
         report.newform_dimension = only.total_multiplicity
         noun = (
             "a single automorphic representation accounts"

@@ -21,6 +21,8 @@ from siegel_dims.errors import (
     NotPrimeError,
     NotSquareFreeError,
 )
+from siegel_dims.irreps import irrep_dim
+from siegel_dims.newforms import bounds_prime
 
 
 def sieve(limit):
@@ -52,6 +54,23 @@ class TestIsPrime:
     def test_rejects_uncertified_range(self):
         with pytest.raises(InputError):
             is_prime(PRIMALITY_CERTIFIED_BOUND)
+
+    def test_rejects_non_integers(self):
+        # is_prime owns the rule for primes and levels, so every reader of a
+        # prime or a level refuses a float or a bool, even once the degree
+        # table at the int 3 is cached.
+        assert irrep_dim(1, 3) == 160
+        cases = [
+            (is_prime, 3.0),
+            (is_prime, True),
+            (parse_square_free_level, 15.0),
+            (lambda p: legendre_symbol(2, p), 7.0),
+            (lambda p: irrep_dim(1, p), 3.0),
+            (lambda p: bounds_prime(4, p), 3.0),
+        ]
+        for call, value in cases:
+            with pytest.raises(InputError, match=f"^{value!r} is not an integer$"):
+                call(value)
 
 
 class TestLegendreSymbol:

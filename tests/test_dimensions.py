@@ -64,6 +64,14 @@ class TestFullLevel:
         with pytest.raises(WeightOutOfRangeError):
             dim_full_level(3)
 
+    def test_rejects_non_integer_weight(self):
+        with pytest.raises(InputError, match=r"^weight 10\.0 is not an integer$"):
+            dim_full_level(10.0)
+        with pytest.raises(InputError, match=r"^weight 4\.0 is not an integer$"):
+            dim_principal_prime(4.0, 3)
+        with pytest.raises(InputError, match=r"^weight True is not an integer$"):
+            dim_principal(True, parse_square_free_level(15))
+
     def test_nonnegative_far_out(self):
         for k in range(4, 200):
             assert dim_full_level(k) >= 0

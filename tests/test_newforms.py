@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegel_dims import newforms
 from siegel_dims.arithmetic import parse_square_free_level
 from siegel_dims.dimensions import dim_principal, dim_principal_prime
 from siegel_dims.errors import (
@@ -203,6 +204,12 @@ class TestDecompose:
         with pytest.raises(EvenPrimeError):
             decompose(2, 10)
 
+    def test_rejects_non_integer_target(self):
+        with pytest.raises(InputError, match=r"^target 15\.0 is not an integer$"):
+            count_decompositions(3, 15.0)
+        with pytest.raises(InputError, match=r"^target True is not an integer$"):
+            decompose(3, True)
+
 
 class TestDecompositionType:
     def test_construction_rechecks_equation(self):
@@ -328,3 +335,27 @@ class TestAnalyzeLevel:
         report = analyze_level(5, 3)
         assert report.solution_count == len(report.solutions) == 13
         assert calls == [(3, 76)]
+
+    def test_builds_no_solution_past_the_cap(self, monkeypatch):
+        build = newforms._build
+        built = []
+
+        def spy(batch, where):
+            solutions = build(batch, where)
+            built.append(len(solutions))
+            return solutions
+
+        monkeypatch.setattr(newforms, "_build", spy)
+        cases = [
+            # 19,005,458 solutions, over the default cap of 10^6.
+            ((4, 5), {}, 0),
+            ((5, 3), {"max_solutions": 0}, 0),
+            # A unique solution is built under any cap: it gives the newform
+            # dimension.
+            ((4, 3), {"max_solutions": 0}, 1),
+            ((5, 3), {}, 13),
+        ]
+        for args, kwargs, expected in cases:
+            built.clear()
+            analyze_level(*args, **kwargs)
+            assert sum(built) == expected, (args, kwargs)
