@@ -19,6 +19,7 @@ from .errors import (
     NotPrimeError,
     NotSquareFreeError,
     _Frozen,
+    _require_int,
 )
 
 # Witnesses proving n prime for every n below this bound (first 13 primes,
@@ -33,12 +34,9 @@ def is_prime(n: int) -> bool:
 
     Correct for every ``n`` below ``PRIMALITY_CERTIFIED_BOUND`` (about
     3.3e24); larger inputs raise :class:`InputError` instead of risking a
-    probabilistic answer, and so does an ``n`` that is not an ``int``: the
-    one place a prime or a level is held to be one.
+    probabilistic answer, and so does an ``n`` that is not an ``int``.
     """
-    if type(n) is not int:
-        raise InputError(f"{n!r} is not an integer")
-    if n >= PRIMALITY_CERTIFIED_BOUND:
+    if _require_int(n) >= PRIMALITY_CERTIFIED_BOUND:
         raise InputError(
             f"primality is only certified below {PRIMALITY_CERTIFIED_BOUND}; got {n}"
         )
@@ -73,7 +71,7 @@ def require_prime(p: int) -> int:
 
 
 def require_odd_prime(p: int) -> int:
-    if p % 2 == 0:
+    if _require_int(p) % 2 == 0:
         raise EvenPrimeError(f"an odd prime is required, got {p}")
     return require_prime(p)
 
@@ -103,12 +101,9 @@ class SquareFreeLevel(_Frozen):
     __slots__ = __match_args__ = ("primes",)
 
     def __init__(self, primes: tuple[int, ...]):
-        primes = tuple(primes)
+        primes = tuple([_require_int(p, "prime factor ") for p in primes])
         if not primes:
             raise InputError("a level needs at least one prime factor")
-        for p in primes:
-            if type(p) is not int:
-                raise InputError(f"prime factor {p!r} is not an integer")
         for p, q in zip(primes, primes[1:]):
             if p >= q:
                 raise InputError(f"prime factors must be strictly increasing, got {primes}")
@@ -178,7 +173,7 @@ def parse_square_free_level(N: int) -> SquareFreeLevel:
     N is split by Pollard--Brent rho alone, each factor certified by
     :func:`is_prime`; the square check runs on the sorted primes.
     """
-    if N < 3:
+    if _require_int(N) < 3:
         raise InputError(f"level must be at least 3, got {N}")
     if N >= PRIMALITY_CERTIFIED_BOUND:
         raise InputError(f"levels are only factored below {PRIMALITY_CERTIFIED_BOUND}; got {N}")

@@ -28,7 +28,7 @@ from .arithmetic import (
     parse_square_free_level,
     require_prime,
 )
-from .errors import InputError, NotTabulatedError, WeightOutOfRangeError
+from .errors import InputError, NotTabulatedError, WeightOutOfRangeError, _require_int
 
 # --- full modular group -----------------------------------------------------
 
@@ -46,9 +46,7 @@ _PENTIC_TERM_BY_K_MOD_5 = (1, 0, 0, -1, 0)
 
 
 def _require_weight(k: int, minimum: int) -> int:
-    if type(k) is not int:
-        raise InputError(f"weight {k!r} is not an integer")
-    if k < minimum:
+    if _require_int(k, "weight ") < minimum:
         raise WeightOutOfRangeError(f"weight must be at least {minimum}, got {k}")
     return k
 
@@ -86,9 +84,9 @@ def dim_gamma0(k: int, N: int) -> int:
     :class:`NotTabulatedError`: the general trace formula for these groups is
     not explicit enough to evaluate, so extrapolating would fabricate values.
     """
-    if N < 1:
+    if _require_int(N, "level ") < 1:
         raise InputError(f"level must be positive, got {N}")
-    if k == 1:
+    if _require_int(k, "weight ") == 1:
         return 0
     if k == 4 and N in GAMMA0_WEIGHT4:
         return GAMMA0_WEIGHT4[N]

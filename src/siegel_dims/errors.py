@@ -6,9 +6,11 @@ trigger with bad arguments (the CLI maps it to exit status 1), while
 collapse to an integer where the mathematics guarantees one (exit status 2;
 always a bug in our tables or formulas, never a user mistake).
 
-The private ``_Frozen`` base, the one immutable-value protocol of the
-package's value classes, lives here too: every module already imports this
-one.
+Two private helpers live here too, because every module already imports
+this one: the ``_Frozen`` base, the one immutable-value protocol of the
+package's value classes, and ``_require_int``, the one rule that an argument
+the formulas read as an exact integer is an ``int`` (a ``bool``, a float or a
+``str`` is refused with the error the caller names).
 """
 
 
@@ -77,6 +79,14 @@ class TooManySolutionsError(InputError):
 
 class IntegralityError(SiegelDimsError, ArithmeticError):
     """An exact rational that must reduce to a non-negative integer did not."""
+
+
+def _require_int(value, what: str = "", error: type[InputError] = InputError) -> int:
+    """``value`` itself if its type is exactly ``int``; otherwise raise
+    ``error`` naming it, as ``f"{what}{value!r} is not an integer"``."""
+    if type(value) is not int:
+        raise error(f"{what}{value!r} is not an integer")
+    return value
 
 
 class _Frozen:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .arithmetic import require_odd_prime
-from .errors import IndexOutOfRangeError, IntegralityError
+from .errors import IndexOutOfRangeError, IntegralityError, _require_int
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ TABLE: tuple[IrrepEntry, ...] = tuple(
 def degrees_at(p: int) -> tuple[int, ...]:
     """The degrees a_1(p), ..., a_17(p) in row order.
 
-    The one place where p is checked to be an odd prime and where the halved
-    rows are checked for evenness; every other reader of the table goes
-    through this cached tuple.
+    Every reader of the degree table passes through this cached tuple,
+    which checks p to be an odd prime, and it is where the halved rows are
+    checked for evenness.
     """
     require_odd_prime(p)
     degrees = []
@@ -85,9 +85,7 @@ def degrees_at(p: int) -> tuple[int, ...]:
 
 def irrep_dim(n: int, p: int) -> int:
     """Degree of row n (1..17) evaluated at the odd prime p."""
-    if type(n) is not int:
-        raise IndexOutOfRangeError(f"representation index {n!r} is not an integer")
-    if not 1 <= n <= len(TABLE):
+    if not 1 <= _require_int(n, "representation index ", IndexOutOfRangeError) <= len(TABLE):
         raise IndexOutOfRangeError(f"representation index must be in 1..{len(TABLE)}, got {n}")
     return degrees_at(p)[n - 1]
 

@@ -36,6 +36,7 @@ from .errors import (
     IntegralityError,
     TooManySolutionsError,
     _Frozen,
+    _require_int,
 )
 from .irreps import NON_UNITARY_INDICES, degrees_at, irrep_dim
 
@@ -66,14 +67,14 @@ def bounds_prime(k: int, p: int) -> BoundPair:
     numerator * p(p^4-1) / 17280 otherwise, exactly as published.
     """
     _require_weight(k, 4)
-    require_odd_prime(p)
+    a1 = irrep_dim(1, p)
     poly = (2 * k**3 - 9 * k**2 + 13 * k - 6) * p**3 + (180 - 120 * k) * p + 360
     lower = Fraction(poly * p * (p - 1) ** 2, 34560)
     if p == 3:
         upper = Fraction(6 * k**3 - 27 * k**2 - k + 82, 12)
     else:
         upper = Fraction(poly * p * (p**4 - 1), 17280)
-    if lower * irrep_dim(1, p) != dim_principal_prime(k, p):
+    if lower * a1 != dim_principal_prime(k, p):
         raise IntegralityError(
             f"lower bound at (k={k}, p={p}) violates the dim / a_1 identity"
         )
@@ -108,7 +109,7 @@ class Decomposition(_Frozen):
 
     The constructor validates: ``__post_init__`` rejects a multiplicity that
     is not an ``int`` or is negative, an index that :func:`irrep_dim`
-    refuses and a sum other than the target.  The walk behind
+    refuses, a non-``int`` target and a sum other than it.  The walk behind
     :func:`iter_decompositions` builds its solutions without that method and
     checks each one against the target instead: it carries each prefix's dot
     product with the degree tuple down the search and adds the last two
@@ -131,12 +132,10 @@ class Decomposition(_Frozen):
         require_odd_prime(self.prime)
         total = 0
         for n, c in zip(self._indices, self._counts):
-            if type(c) is not int:
-                raise InputError(f"multiplicity c_{n} = {c!r} is not an integer")
-            if c < 0:
+            if _require_int(c, f"multiplicity c_{n} = ") < 0:
                 raise InputError(f"multiplicity c_{n} = {c} is negative")
             total += c * irrep_dim(n, self.prime)
-        if total != self.target:
+        if total != _require_int(self.target, "target "):
             raise InputError(
                 f"multiplicities sum to {total}, not the target {self.target}"
             )
@@ -180,13 +179,11 @@ class Decomposition(_Frozen):
 
 def _degrees_for(p: int, D: int, include_nonunitary: bool) -> tuple[int, ...]:
     """a_1(p), a_2(p), ... for the indices in play, once p and then D are
-    checked: the one place a target is held to be an ``int``, non-negative
-    and at most MAX_ENUMERATION_TARGET.  The non-unitary rows are the last
-    ones of the table, so leaving them out is a slice."""
+    checked: where a target to count or walk is held to be an ``int``,
+    non-negative and at most MAX_ENUMERATION_TARGET.  The non-unitary rows
+    are the last ones of the table, so leaving them out is a slice."""
     degrees = degrees_at(p)
-    if type(D) is not int:
-        raise InputError(f"target {D!r} is not an integer")
-    if D < 0:
+    if _require_int(D, "target ") < 0:
         raise InputError(f"target must be non-negative, got {D}")
     if D > MAX_ENUMERATION_TARGET:
         raise TooManySolutionsError(
@@ -196,7 +193,7 @@ def _degrees_for(p: int, D: int, include_nonunitary: bool) -> tuple[int, ...]:
 
 
 def _check_cap(max_solutions: int) -> None:
-    if max_solutions < 0:
+    if _require_int(max_solutions, "solution cap ") < 0:
         raise InputError(f"the solution cap must be non-negative, got {max_solutions}")
 
 

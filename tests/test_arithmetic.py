@@ -21,8 +21,8 @@ from siegel_dims.errors import (
     NotPrimeError,
     NotSquareFreeError,
 )
-from siegel_dims.irreps import irrep_dim
-from siegel_dims.newforms import bounds_prime
+from siegel_dims.irreps import irrep_dim, unitary_dims
+from siegel_dims.newforms import analyze_level, bounds_prime, decompose
 
 
 def sieve(limit):
@@ -67,6 +67,14 @@ class TestIsPrime:
             (lambda p: legendre_symbol(2, p), 7.0),
             (lambda p: irrep_dim(1, p), 3.0),
             (lambda p: bounds_prime(4, p), 3.0),
+            # A str is refused before any arithmetic runs on it.
+            (lambda p: decompose(p, 15), "3"),
+            (lambda p: irrep_dim(1, p), "3"),
+            (lambda p: analyze_level(4, p), "3"),
+            (unitary_dims, "3"),
+            (lambda p: legendre_symbol(2, p), "7"),
+            (parse_square_free_level, "15"),
+            (parse_square_free_level, True),
         ]
         for call, value in cases:
             with pytest.raises(InputError, match=f"^{value!r} is not an integer$"):

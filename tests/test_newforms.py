@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from siegel_dims import newforms
 from siegel_dims.arithmetic import parse_square_free_level
-from siegel_dims.dimensions import dim_principal, dim_principal_prime
+from siegel_dims.dimensions import dim_gamma0, dim_principal, dim_principal_prime
 from siegel_dims.errors import (
     EvenPrimeError,
     InputError,
@@ -209,6 +210,27 @@ class TestDecompose:
             count_decompositions(3, 15.0)
         with pytest.raises(InputError, match=r"^target True is not an integer$"):
             decompose(3, True)
+
+    def test_rejects_non_integer_cap_level_weight_and_constructed_target(self):
+        # Each of these reaches arithmetic or a comparison before any
+        # formula, so each is refused there, naming the value.
+        cases = []
+        for cap in (1.5, "1", None, True):
+            cases += [
+                (f"solution cap {cap!r}", lambda cap=cap: decompose(3, 15, max_solutions=cap)),
+                (f"solution cap {cap!r}", lambda cap=cap: analyze_level(4, 3, max_solutions=cap)),
+            ]
+        cases += [
+            ("level 3.0", lambda: dim_gamma0(4, 3.0)),
+            ("weight True", lambda: dim_gamma0(True, 3)),
+            ("weight '4'", lambda: dim_gamma0("4", 3)),
+            ("target 15.0", lambda: Decomposition({14: 1}, 3, 15.0)),
+            ("target False", lambda: Decomposition({}, 3, False)),
+            ("target '15'", lambda: Decomposition({14: 1}, 3, "15")),
+        ]
+        for named, call in cases:
+            with pytest.raises(InputError, match=f"^{re.escape(named)} is not an integer$"):
+                call()
 
 
 class TestDecompositionType:
