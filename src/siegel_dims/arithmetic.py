@@ -80,9 +80,9 @@ def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, via Euler's criterion.
 
     Returns 0 when p | a, 1 when a is a nonzero square mod p, and -1
-    otherwise.
+    otherwise.  An ``a`` that is not an ``int`` is an :class:`InputError`.
     """
-    return _euler_criterion(a, require_odd_prime(p))
+    return _euler_criterion(_require_int(a), require_odd_prime(p))
 
 
 def _euler_criterion(a: int, p: int) -> int:

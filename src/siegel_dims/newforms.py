@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import add
 
 from .arithmetic import SquareFreeLevel, require_odd_prime
@@ -106,14 +106,18 @@ class Decomposition(_Frozen):
     ``(indices, prime, target)`` tuple that every solution of a walk shares,
     with the indices 1..n.  ``prime``, ``target`` and ``_indices`` read that
     tuple, and the dict view is built only when ``multiplicities`` is read.
+    ``vector`` is the counts sorted by index: the count tuple itself when the
+    indices ascend, as a walk's always do.
 
     The constructor validates: ``__post_init__`` rejects a multiplicity that
     is not an ``int`` or is negative, an index that :func:`irrep_dim`
     refuses, a non-``int`` target and a sum other than it.  The walk behind
     :func:`iter_decompositions` builds its solutions without that method and
-    checks each one against the target instead: it carries each prefix's dot
-    product with the degree tuple down the search and adds the last two
-    terms, so the check is the full dot product of the solution's counts.
+    checks each one against the target instead, as the full dot product of
+    its counts with the degree tuple, split after c_(n-3): each tail
+    (c_(n-2), c_(n-1), c_n) is checked against the remainder it fills when
+    the walk makes it, and each prefix's dot product plus that remainder
+    against the target.
     Instances are immutable, compare by value and are unhashable.
     """
 
@@ -158,7 +162,10 @@ class Decomposition(_Frozen):
 
     @property
     def vector(self) -> tuple[int, ...]:
-        return tuple(c for _, c in sorted(zip(self._indices, self._counts)))
+        indices = self._indices
+        if list(indices) == sorted(indices):  # always so for a walk's solutions
+            return self._counts
+        return tuple(c for _, c in sorted(zip(indices, self._counts)))
 
     @property
     def total_multiplicity(self) -> int:
@@ -291,8 +298,8 @@ def iter_decompositions(
     return _walk(_degrees_for(p, D, include_nonunitary), p, D)
 
 
-# The walk builds its solutions this many at a time; 256 and 1024 timed the
-# same.
+# The walk builds its solutions this many at a time (256 and 1024 timed the
+# same) and holds at most this many tails in its table of remainders.
 _BATCH = 1024
 
 
@@ -313,27 +320,37 @@ def _walk(
 ) -> Iterator[Decomposition]:
     """The search behind the decomposition streams.
 
-    A depth-first search fixes c_1, ..., c_(n-2) in turn, c ascending, and
+    A depth-first search fixes c_1, ..., c_(n-3) in turn, c ascending, and
     enters a remainder only if the later degrees can still reach it; one
     reachability row per index 1..n-2 answers that in O(1).  What is left,
-    rest = c_(n-1) * a_(n-1) + c_n * a_n, is solved in closed form: with
-    g = gcd(a_(n-1), a_n), c_(n-1) runs over one residue class mod a_n / g
-    up to rest // a_(n-1), and c_n is the quotient of what remains.  So the
-    solutions come out in lexicographic order, and when D is unreachable the
-    search ends after D // a_1 probes at index 1.
+    rest = c_(n-2) * a_(n-2) + c_(n-1) * a_(n-1) + c_n * a_n, has its tails
+    (c_(n-2), c_(n-1), c_n) made by probing row n-2 for c_(n-2) and solving
+    the last two in closed form: with g = gcd(a_(n-1), a_n), c_(n-1) runs
+    over one residue class mod a_n / g up to what is left // a_(n-1), and
+    c_n is the quotient of the rest.  So the solutions come out in
+    lexicographic order, and when D is unreachable the search ends after
+    D // a_1 probes at index 1.
+
+    Many prefixes leave the same remainder, so the walk keeps a table from
+    remainder to its list of tails, and each prefix adds its counts to them
+    in C.  The table holds at most ``_BATCH`` tails: it is cleared before a
+    new entry would take it past that, and a remainder with more tails is
+    streamed and not stored.
 
     The solutions skip the validating constructor.  The search keeps
-    c_1, ..., c_(n-2) in one list and carries each prefix's dot product with
-    the degrees, so every solution is checked against D as the full dot
-    product of the tuple it holds, at the cost of two products.  The checked
-    count tuples collect in a batch; once it holds ``_BATCH`` of them, and at
-    the end, :func:`_build` makes the batch's solutions, all sharing one
-    ``(indices, p, D)`` tuple, and the walk yields them.  So the stream runs
-    at most one batch ahead of what it has yielded, however many solutions
-    one prefix has.  Given
-    ``count``, the walk counts what it yields and raises
-    :class:`IntegralityError` at its end if it found a different number: the
-    one place the enumeration is checked against the count.
+    c_1, ..., c_(n-3) in one list and carries each prefix's dot product with
+    the degrees as iteration reads them (``head``), and the check is split
+    at the prefix: each tail is checked once, when it is made, as its three
+    terms against its remainder, and each prefix once, as head + rest == D.
+    Together they are the full dot product of every solution's counts.
+    The checked count tuples collect in a batch; once it holds ``_BATCH`` of
+    them, and at the end, :func:`_build` makes the batch's solutions, all
+    sharing one ``(indices, p, D)`` tuple, and the walk yields them.  So the
+    stream runs at most one batch ahead of what it has yielded, however many
+    solutions one prefix has.  Given ``count``, the walk counts what it
+    yields and raises :class:`IntegralityError` at its end if it found a
+    different number: the one place the enumeration is checked against the
+    count.
     """
     n = len(degrees)
     # suffix[j] = the sums attainable with degrees[j:], for the rows 1..n-2
@@ -352,19 +369,46 @@ def _walk(
 
     # rest = c_(n-1) * a + c_n * b with g | rest, so c_(n-1) * (a / g) =
     # rest / g (mod step): c_(n-1) is (rest / g) * inv (mod step).
-    a, b = degrees[n - 2], degrees[n - 1]
+    d, a, b = degrees[n - 3], degrees[n - 2], degrees[n - 1]
     g = math.gcd(a, b)
     step = b // g
     inv = pow(a // g, -1, step)
     # Not a redundant alias: ``check`` is the degrees as iteration reads
     # them, while the search reads ``degrees`` by index, so a sequence whose
-    # two views differ fails the per-solution dot-product check.
+    # two views differ fails the dot-product check.
     check = tuple(degrees)
-    check_a, check_b = check[n - 2], check[n - 1]
+    check_d, check_a, check_b = check[n - 3], check[n - 2], check[n - 1]
+    row = suffix[n - 2]
+
+    def tails(rest: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+        """The tails of ``rest`` in lexicographic order, each checked as it
+        is made; ``prefix`` is the solution's start that a failure names."""
+        c, left = 0, rest
+        while True:
+            while left >= 0 and row[left] != "1":
+                left -= d
+                c += 1
+            if left < 0:
+                return
+            part = c * check_d
+            for c_a in range((left // g) * inv % step, left // a + 1, step):
+                c_b = (left - c_a * a) // b
+                if part + c_a * check_a + c_b * check_b != rest:
+                    raise IntegralityError(
+                        f"enumerated multiplicities {prefix + (c, c_a, c_b)} "
+                        f"do not sum to {D} at p={p}"
+                    )
+                yield c, c_a, c_b
+            left -= d
+            c += 1
+
+    limit = _BATCH
+    table: dict[int, list[tuple[int, int, int]]] = {}
+    held = 0  # the tails in ``table``
     where = (tuple(range(1, n + 1)), p, D)
     batch: list[tuple[int, ...]] = []
-    last = n - 3  # the deepest index the search probes, 0-based
-    # path holds c_1..c_(n-2).  Once c_1..c_j are fixed: rests[j] is the
+    last = n - 4  # the deepest index the search probes, 0-based
+    # path holds c_1..c_(n-3).  Once c_1..c_j are fixed: rests[j] is the
     # target left and heads[j] the dot product of c_1..c_j with ``check``.
     rests = [D] * (last + 1)
     path = [0] * (last + 1)
@@ -372,11 +416,11 @@ def _walk(
     found = 0
     j, c = 0, 0
     while True:
-        d = degrees[j]
-        row = suffix[j + 1]
-        rest = rests[j] - c * d
-        while rest >= 0 and row[rest] != "1":
-            rest -= d
+        dj = degrees[j]
+        probe = suffix[j + 1]
+        rest = rests[j] - c * dj
+        while rest >= 0 and probe[rest] != "1":
+            rest -= dj
             c += 1
         if rest < 0:  # index j is exhausted: back up one index
             if j == 0:
@@ -393,18 +437,31 @@ def _walk(
             c = 0
             continue
         prefix = tuple(path)
-        for c_a in range((rest // g) * inv % step, rest // a + 1, step):
-            c_b = (rest - c_a * a) // b
-            counts = prefix + (c_a, c_b)
-            if head + c_a * check_a + c_b * check_b != D:
-                raise IntegralityError(
-                    f"enumerated multiplicities {counts} do not sum to {D} at p={p}"
-                )
-            batch.append(counts)
-            if len(batch) >= _BATCH:
-                found += len(batch)
-                yield from _build(batch, where)
-                batch.clear()
+        if head + rest != D:
+            raise IntegralityError(
+                f"enumerated multiplicities {prefix + next(tails(rest, prefix))} "
+                f"do not sum to {D} at p={p}"
+            )
+        tail = table.get(rest)
+        if tail is None:
+            made = tails(rest, prefix)
+            tail = list(islice(made, limit + 1))
+            if len(tail) > limit:
+                tail = chain(tail, made)
+            else:
+                if held + len(tail) > limit:
+                    table.clear()
+                    held = 0
+                table[rest] = tail
+                held += len(tail)
+        solutions = map(prefix.__add__, tail)
+        while True:
+            batch += islice(solutions, limit - len(batch))
+            if len(batch) < limit:
+                break
+            found += limit
+            yield from _build(batch, where)
+            batch.clear()
         c += 1
     found += len(batch)
     yield from _build(batch, where)

@@ -117,6 +117,11 @@ class TestLegendreSymbol:
         with pytest.raises(NotPrimeError):
             legendre_symbol(1, 9)
 
+    @pytest.mark.parametrize("a", ["2", 2.0, True])
+    def test_rejects_a_non_integer_residue(self, a):
+        with pytest.raises(InputError, match=f"^{a!r} is not an integer$"):
+            legendre_symbol(a, 7)
+
 
 class TestParseSquareFreeLevel:
     def test_examples(self):

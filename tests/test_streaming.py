@@ -6,6 +6,7 @@ import copy
 import hashlib
 import itertools
 import json
+import operator
 import os
 import pickle
 import subprocess
@@ -45,6 +46,11 @@ MAX_TARGET = 150
 @cache
 def naive(p, include_nonunitary):
     return naive_solutions_up_to(p, MAX_TARGET, include_nonunitary)
+
+
+@cache
+def naive_solutions_at_200(include_nonunitary):
+    return naive_solutions_up_to(3, 200, include_nonunitary)[200]
 
 
 def run(capsys, *argv):
@@ -159,6 +165,26 @@ class TestTrustedConstruction:
             with pytest.raises(IntegralityError, match=f"do not sum to {d} "):
                 list(newforms._walk(OneOff(degrees), 3, d))
 
+    @pytest.mark.parametrize("include_nonunitary", [False, True])
+    def test_walk_names_the_first_solution_that_fails(self, include_nonunitary):
+        # With a degree seen one too high by iteration at index i, the walk
+        # raises on the first solution, in lexicographic order, whose dot
+        # product with the degrees as iteration reads them is not the
+        # target; the naive enumeration, not the walk, says which that is.
+        degrees = degrees_at(3)[: 17 if include_nonunitary else 15]
+        solutions = naive_solutions_at_200(include_nonunitary)
+        for i in range(len(degrees)):
+
+            class OneOff(tuple):
+                def __iter__(self, i=i):
+                    return (a + (k == i) for k, a in enumerate(tuple.__iter__(self)))
+
+            skewed = OneOff(degrees)
+            first = next(v for v in solutions if sum(map(operator.mul, v, skewed)) != 200)
+            with pytest.raises(IntegralityError) as exc:
+                list(newforms._walk(skewed, 3, 200))
+            assert str(exc.value) == f"enumerated multiplicities {first} do not sum to 200 at p=3"
+
     @pytest.mark.parametrize("target,include_nonunitary", [
         (4000, False), (4001, True), (6007, False), (7000, False), (7999, False),
     ])
@@ -231,6 +257,20 @@ class TestBatchedConstruction:
         stream = iter_decompositions(3, 199980)
         assert next(stream).vector == (0,) * 14 + (33330,)
         assert sizes == [size]
+
+    @pytest.mark.parametrize("size", [1, 3, 1024])
+    @pytest.mark.parametrize("p,target,include_nonunitary,count", CASES)
+    def test_every_batch_but_the_last_is_full(
+        self, monkeypatch, size, p, target, include_nonunitary, count
+    ):
+        sizes = []
+        build = newforms._build
+        monkeypatch.setattr(newforms, "_BATCH", size)
+        monkeypatch.setattr(newforms, "_build",
+                            lambda batch, where: sizes.append(len(batch)) or build(batch, where))
+        assert sum(1 for _ in iter_decompositions(p, target, include_nonunitary)) == count
+        assert sum(sizes) == count
+        assert set(sizes[:-1]) <= {size} and sizes[-1] <= size
 
     @staticmethod
     def failures(monkeypatch):
@@ -477,6 +517,33 @@ class TestCountedWalk:
         finally:
             tracemalloc.stop()
         assert peak - 14 * (D + 1) < (D + 1) // 2
+
+    def test_stream_holds_little_beyond_a_batch(self):
+        # 1,017,220 solutions at (3, 550), over thousands of remainders: the
+        # walk holds its rows of 551 bytes, at most ``_BATCH`` tails and one
+        # batch of solutions, never the stream.
+        walk = iter_decompositions(3, 550)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in walk) == 1017220
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_remainder_with_many_tails_is_streamed(self):
+        # The first prefix at (3, 19980), c_1..c_12 = 0, leaves a remainder
+        # with 278,056 tails; the walk holds at most ``_BATCH`` + 1 of them,
+        # not the list, beside its 13 rows of D + 1 bytes.
+        D = 19980
+        stream = iter_decompositions(3, D)
+        tracemalloc.start()
+        try:
+            assert next(stream).vector == (0,) * 14 + (D // 6,)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 13 * (D + 1) < 2**20
 
     def test_walk_holds_n_minus_2_rows(self):
         # The last two multiplicities are solved in closed form, so the walk
