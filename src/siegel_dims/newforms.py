@@ -20,7 +20,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add
 
 from .arithmetic import SquareFreeLevel, require_odd_prime
 from .dimensions import (
@@ -204,11 +203,13 @@ def _check_cap(max_solutions: int) -> None:
         raise InputError(f"the solution cap must be non-negative, got {max_solutions}")
 
 
-# The halving count holds its numerator as a dict of terms until the list the
-# next step would write is shorter than this many times the number of terms.
-# Of 4, 8, 16, 32 and 64, 16 timed within 20 % of the best on targets near
-# 10^5 at p = 3..13 and at (3, 10^6); 4 was 1.7x slower than the best at
-# (7, 199500), and 64 3.6x slower at (47, 10^7).
+# The halving count holds its numerator as a dict of terms until the slots the
+# next step would pack are fewer than this many times the number of terms.
+# Timed on the packed step against 8, 32 and 64 (best of 3-5 runs), 16 was
+# within 6 % of the best at p = 3, 5 and 11 near 10^5, at (3, 10^6) and at
+# (19, 10^7) and (47, 10^7); 64, which packs earlier, was best elsewhere, by
+# 1.4x at (13, 98507), 1.8x at (7, 199500), 2.2x at (7, 99975) and 2.1x at
+# (13, 10^7), but 1.36x slower than 8 at (47, 10^7); 8 was up to 2.5x slower.
 _DENSE_FILL = 16
 
 
@@ -225,8 +226,8 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
     b of the denominator.  While D > 0 it multiplies P by (1 + x^b) for each
     odd b <= D, truncated to degree D, keeps the coefficients of P whose
     exponent has the parity of D, halves every even b and sets D //= 2; the
-    count is then P[0], or 0 once the slice leaves P empty.  The step is
-    exact because (1 - x^b)(1 + x^b) = 1 - x^(2b): afterwards the
+    count is then P[0], or 0 once the slice leaves P empty or zero.  The
+    step is exact because (1 - x^b)(1 + x^b) = 1 - x^(2b): afterwards the
     denominator is a function of x^2, and so is each even factor 1 - x^b
     already, so [x^D] of the quotient is [y^(D // 2)] of the kept
     coefficients over the halved denominator.  An odd b > D is left alone;
@@ -235,54 +236,109 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
     P starts sparse, as an {exponent: coefficient} dict.  At odd p only a_4
     and a_14 are odd, so the first steps multiply by few binomials and P has
     few terms spread over a range up to D.  Before each step the count
-    compares the list that the step would write, of min(max exponent + sum
-    of the odd b <= D, D) + 1 entries, with P's number of terms; once the
-    list is less than ``_DENSE_FILL`` = 16 times longer, P is written into
-    it and stays a list.  One loop takes every step; the two forms of P
-    differ only in the multiply-and-slice, and :func:`_count_dense` is that
-    step on the list, one slice addition per odd b, so the argument above
-    covers both.
+    compares the slots that the step would write, min(max exponent + sum of
+    the odd b <= D, D) + 1 of them, with P's number of terms; once the slots
+    are fewer than ``_DENSE_FILL`` = 16 times the terms, P is packed into
+    one integer, in one pass over the terms, and stays packed.  Slot e of
+    that integer holds P[e] in ``words`` 64-bit words, and ``bits`` bounds
+    the bit length of every coefficient: it starts at that of the largest
+    term and grows by one per odd factor, since a multiply by (1 + x^b) at
+    most doubles the largest coefficient, while truncation and the parity
+    slice never raise it.  So no slot carries into the next, and
+    :func:`_count_dense` widens the slots before the bound would pass them.
+    One loop takes every step; the two forms of P differ only in the
+    multiply-and-slice, and :func:`_count_dense` is that step on the packed
+    P, so the argument above covers both.
+
     Each step lengthens P by at most sum a_n, and never past degree D,
-    before the parity slice halves it, so the list holds O(min(D, sum a_n))
-    integers, and while P is sparse the count holds about its terms only: a
-    target far below sum a_n at a large p, whose P empties or stays thin,
-    never writes a list of D + 1 entries.  The count costs at most about
-    15 * sum a_n * log2(D) additions (17 with the non-unitary rows).
+    before the parity slice halves it, so a packed P takes about
+    min(D, sum a_n) * 8 * words bytes, and a step holds about three such
+    copies at its peak.  While P is sparse the count holds about its terms
+    only: a target far below sum a_n at a large p, whose P empties or stays
+    thin, never packs D + 1 slots.  A dense step costs one shift-add of the
+    packed P per odd factor, at most 15 per step (17 with the non-unitary
+    rows), and one strided copy for the parity slice.
     """
     exponents = _degrees_for(p, D, include_nonunitary)
-    numerator: dict[int, int] | list[int] = {0: 1}
+    numerator: dict[int, int] | tuple[int, int, int, int] = {0: 1}
     while D:
         odd = [b for b in exponents if b & 1 and b <= D]
         if isinstance(numerator, dict) and _DENSE_FILL * len(numerator) > min(max(numerator) + sum(odd), D) + 1:
-            dense = [0] * (max(numerator) + 1)
+            bits = max(c.bit_length() for c in numerator.values())
+            words = -(-bits // 64)
+            size = 8 * words
+            slots = max(numerator) + 1
+            dense = bytearray(size * slots)
             for e, c in numerator.items():
-                dense[e] = c
-            numerator = dense
-        if isinstance(numerator, list):
+                dense[size * e : size * (e + 1)] = c.to_bytes(size, "little")
+            numerator = (int.from_bytes(dense, "little"), slots, words, bits)
+            del dense
+        if isinstance(numerator, tuple):
             numerator = _count_dense(numerator, odd, D)
+            if not numerator[0]:
+                return 0
         else:
             for b in odd:
                 for e, c in numerator.copy().items():
                     if e + b <= D:
                         numerator[e + b] = numerator.get(e + b, 0) + c
             numerator = {e >> 1: c for e, c in numerator.items() if e & 1 == D & 1}
-        if not numerator:
-            return 0
+            if not numerator:
+                return 0
         exponents = [b if b & 1 else b >> 1 for b in exponents]
         D >>= 1
+    # At D = 0 the slice has left P at most the one slot 0, so a packed P is
+    # P[0] itself, as a dict's entry 0 is.
     return numerator[0]
 
 
-def _count_dense(numerator: list[int], odd: Sequence[int], D: int) -> list[int]:
-    """One halving step of :func:`count_decompositions` on P held as the list
-    of its coefficients, numerator[e] at x^e: multiply by (1 + x^b) for each
-    b in ``odd``, truncated to degree D, and keep the entries of D's parity."""
+def _count_dense(
+    numerator: tuple[int, int, int, int], odd: Sequence[int], D: int
+) -> tuple[int, int, int, int]:
+    """One halving step of :func:`count_decompositions` on P packed as
+    ``numerator`` = (packed, slots, words, bits): slot e, the ``words``
+    64-bit words from bit 64 * words * e of ``packed``, holds P[e] for
+    e < slots, and every coefficient has at most ``bits`` bits.
+
+    Each odd factor adds one to ``bits``; if the bound would pass the slot
+    width, every slot is first widened to hold it.  Then the multiply by
+    (1 + x^b) is one shift-add of ``packed``, whose addend keeps only the
+    slots that land at degree D or below (none for b > D, which the count
+    never hands over), and the parity slice copies the slots of D's parity
+    into a new packed P."""
+    packed, slots, words, bits = numerator
+    bits += len(odd)
+    if bits > 64 * words:
+        wide = -(-bits // 64)
+        packed = _restride(packed, slots, words, range(slots), wide)
+        words = wide
+    width = 64 * words
     for b in odd:
-        n = min(len(numerator) + b, D + 1)
-        numerator += [0] * (n - len(numerator))
-        # Both slices on the right are copies: old coefficients.
-        numerator[b:] = map(add, numerator[b:], numerator[: n - b])
-    return numerator[D & 1 :: 2]
+        # Only the slots below room land at degree D or below.
+        room = D + 1 - b
+        if room > 0:
+            low = packed if slots <= room else packed & (1 << width * room) - 1
+            packed += low << width * b
+            del low
+        slots = min(slots + b, D + 1)
+    kept = range(D & 1, slots, 2)
+    return _restride(packed, slots, words, kept, words), len(kept), words, bits
+
+
+def _restride(packed: int, slots: int, words: int, picked: range, wide: int) -> int:
+    """The slots ``picked`` of ``packed``, whose ``slots`` slots are
+    ``words`` 64-bit words each, packed again in slots of ``wide`` >= words
+    words.  The words are copied whole, never read as numbers, so the
+    machine's byte order does not matter."""
+    held = memoryview(packed.to_bytes(8 * words * slots, "little")).cast("Q")
+    out = bytearray(8 * wide * len(picked))
+    into = memoryview(out).cast("Q")
+    start, stop, step = picked.start * words, picked.stop * words, picked.step * words
+    for i in range(words):
+        into[i::wide] = held[start + i : stop : step]
+    # Free the bytes before the integer is made: the step peaks lower.
+    held.release()
+    return int.from_bytes(out, "little")
 
 
 def iter_decompositions(

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -167,9 +168,9 @@ def test_count_at_a_paper_dimension_for_p11(monkeypatch):
 
 # --- the sparse phase below the degree sum -------------------------------------
 
-# The numerator starts as a dict of terms and becomes a list once it fills
-# (see the docstring of count_decompositions).  Targets between 2 * 10^4 and
-# the degree sum keep it sparse for several steps at p = 11 and 13.
+# The numerator starts as a dict of terms and is packed into one integer once
+# it fills (see the docstring of count_decompositions).  Targets between
+# 2 * 10^4 and the degree sum keep it sparse for several steps at p = 11 and 13.
 SPARSE_FROM = 20_000
 
 
@@ -241,6 +242,74 @@ def test_each_phase_alone_matches_reference_dp(monkeypatch, p, fill):
         assert [count_decompositions(p, D, include_nonunitary) for D in targets] == [
             table[D] for D in targets
         ]
+
+
+def list_step(coefficients, odd, D):
+    """The dense step on P as a plain list, numerator[e] at x^e: multiply by
+    (1 + x^b) for each b in ``odd``, truncated to degree D, and keep the
+    entries of D's parity."""
+    numerator = list(coefficients)
+    for b in odd:
+        n = min(len(numerator) + b, D + 1)
+        numerator += [0] * (n - len(numerator))
+        numerator[b:] = map(add, numerator[b:], numerator[: n - b])
+    return numerator[D & 1 :: 2]
+
+
+def pack(coefficients, words):
+    """(packed, slots, words, bits) with coefficients[e] in slot e."""
+    packed = sum(c << 64 * words * e for e, c in enumerate(coefficients))
+    return packed, len(coefficients), words, max(c.bit_length() for c in coefficients)
+
+
+def unpack(numerator):
+    packed, slots, words, bits = numerator
+    mask = (1 << 64 * words) - 1
+    return [packed >> 64 * words * e & mask for e in range(slots)]
+
+
+@st.composite
+def dense_steps(draw):
+    D = draw(st.integers(min_value=0, max_value=300), label="D")
+    coefficients = draw(
+        st.lists(st.integers(min_value=0, max_value=2**200), min_size=1, max_size=D + 1)
+        .filter(any),
+        label="P",
+    )
+    # Odd b up to past both len(P) and D; the count hands over b <= D only.
+    odd = draw(
+        st.lists(st.integers(min_value=0, max_value=D + 40).map(lambda b: 2 * b + 1), max_size=6),
+        label="odd",
+    )
+    return coefficients, odd, D
+
+
+@given(dense_steps(), st.integers(min_value=0, max_value=1))
+@settings(max_examples=300, deadline=None)
+def test_packed_step_matches_the_list_step(step, extra_words):
+    # Slots may start wider than the coefficients need: the step only ever
+    # widens them.
+    coefficients, odd, D = step
+    bits = max(c.bit_length() for c in coefficients)
+    numerator = pack(coefficients, -(-bits // 64) + extra_words)
+    stepped = newforms._count_dense(numerator, odd, D)
+    expected = list_step(coefficients, odd, D)
+    assert unpack(stepped) == expected
+    packed, slots, words, bits = stepped
+    assert slots == len(expected)
+    assert max(c.bit_length() for c in expected or [0]) <= bits <= 64 * words
+    assert packed < 1 << 64 * words * slots
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_packed_step_widens_a_full_slot(D):
+    # (2^64 - 1)(1 + x) doubles P[1] to 2^65 - 2, one bit past a word: the
+    # slot must grow a second word, and slot 2 must stay 2^64 - 1, not take
+    # a carry.
+    full = 2**64 - 1
+    stepped = newforms._count_dense(pack([full, full], 1), [1], D)
+    assert stepped[2] == 2
+    assert unpack(stepped) == list_step([full, full], [1], D) == [[full, full], [2 * full]][D & 1]
 
 
 @given(st.sampled_from(ODD_PRIMES), st.booleans(), st.data())
@@ -344,4 +413,27 @@ def test_count_at_p47_at_the_limit_stays_small():
                           text=True, timeout=60, check=True)
     count, peak_mib = map(int, proc.stdout.split())
     assert count == 0
+    assert peak_mib < 64
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("p", [13, 17, 19, 23])
+def test_dense_count_at_the_limit_stays_small(p):
+    # These primes go dense at the limit, and the packed P takes about
+    # min(D, sum a_n) * 8 * words bytes per copy; the whole interpreter
+    # peaks below 40 MiB.  VmHWM, as above, is the new interpreter's own.
+    code = (
+        "import sys\n"
+        "from siegel_dims.newforms import count_decompositions\n"
+        "count = count_decompositions(int(sys.argv[1]), 10**7)\n"
+        "status = open('/proc/self/status').read().split()\n"
+        "print(count, int(status[status.index('VmHWM:') + 1]) // 1024)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(newforms.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(p)], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    count, peak_mib = map(int, proc.stdout.split())
+    assert count > 0
     assert peak_mib < 64

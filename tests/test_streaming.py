@@ -519,13 +519,14 @@ class TestCountedWalk:
         assert peak - 14 * (D + 1) < (D + 1) // 2
 
     def test_stream_holds_little_beyond_a_batch(self):
-        # 1,017,220 solutions at (3, 550), over thousands of remainders: the
-        # walk holds its rows of 551 bytes, at most ``_BATCH`` tails and one
-        # batch of solutions, never the stream.
-        walk = iter_decompositions(3, 550)
+        # 120,286 solutions at (3, 420), over thousands of remainders, and the
+        # table of tails is emptied 7 times: the walk holds its rows of 421
+        # bytes, at most ``_BATCH`` tails and one batch of solutions, never
+        # the stream, whose solutions would take about 25 MiB.
+        walk = iter_decompositions(3, 420)
         tracemalloc.start()
         try:
-            assert sum(1 for _ in walk) == 1017220
+            assert sum(1 for _ in walk) == 120286
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
