@@ -203,14 +203,88 @@ def _check_cap(max_solutions: int) -> None:
         raise InputError(f"the solution cap must be non-negative, got {max_solutions}")
 
 
-# The halving count holds its numerator as a dict of terms until the slots the
-# next step would pack are fewer than this many times the number of terms.
-# Timed on the packed step against 8, 32 and 64 (best of 3-5 runs), 16 was
-# within 6 % of the best at p = 3, 5 and 11 near 10^5, at (3, 10^6) and at
-# (19, 10^7) and (47, 10^7); 64, which packs earlier, was best elsewhere, by
-# 1.4x at (13, 98507), 1.8x at (7, 199500), 2.2x at (7, 99975) and 2.1x at
-# (13, 10^7), but 1.36x slower than 8 at (47, 10^7); 8 was up to 2.5x slower.
-_DENSE_FILL = 16
+# What the two forms of the halving count's numerator cost, in ns, for
+# _pack_pays to estimate the next step in each.  Measured once, on a 2-vCPU
+# x86-64 Xeon host under CPython 3.11: every step of the dict phase of 15
+# targets, from (3, 15) to (47, 10^7), was timed as a dict step and as
+# packing plus a packed step (best of 3 to 50 runs), and these are the least
+# squares fit of those 275 pairs of times, weighted by relative error, to the
+# work that _pack_pays counts; 80 % of the steps fit within 0.71-1.26x (dict)
+# and 0.71-1.14x (packed).  They are constants, not measured at import, so
+# that the switch step is the same on every host.
+_DICT_STEP = 500  # a dict step, whatever its size
+_DICT_VISIT = 50  # a term that one factor (or the parity slice) visits
+_DICT_ADD = 75  # a term that one factor adds, at e + b <= D
+_PACKED_STEP = 2750  # packing P and a packed step, whatever their size
+_PACK_TERM = 390  # a term written into the packed P
+_WORD = 4.5  # a 64-bit word of the packed P that one pass reads
+
+
+def _pack_pays(numerator: dict[int, int], odd: Sequence[int], D: int) -> bool:
+    """Whether packing P, held as the dict ``numerator``, and taking the next
+    halving step on the packed P is estimated to cost less than taking the
+    step on the dict.  Both forms give the same P, so the estimate can only
+    make the count slower, never wrong.
+
+    The packed work follows from P's top exponent and largest coefficient:
+    packing writes every term and every slot, each odd factor b is one
+    shift-add over the slots it reaches, min(slots + b, D + 1), and the
+    parity slice reads the slots and writes half of them, all in slots of
+    as many words as the coefficients need after the step.  The dict step
+    visits every term once per odd factor and once to slice, and adds to
+    the terms with e + b <= D.  Its work is first bounded by P doubling at
+    every factor, then estimated as if P's terms were spread evenly up to
+    its top exponent.  When that estimate puts the dict step above a packed
+    step of more than 32 fixed costs, the work is counted exactly, by
+    shifting P's exponents, as the bits of one integer, as the step would
+    shift its terms: exponents that are sums of the degrees collide, and P
+    may grow ten times slower than even spread suggests.  That integer has
+    a bit per slot, 1/64 of the packed P."""
+    terms = len(numerator)
+    packed = _PACKED_STEP + _PACK_TERM * terms
+    if _DICT_STEP + (_DICT_VISIT + _DICT_ADD) * (terms << len(odd) + 1) <= packed:
+        return False
+    slots = max(numerator) + 1
+    words = -(-(max(numerator.values()).bit_length() + len(odd)) // 64)
+    passes = slots
+    visits = adds = 0
+    for b in odd:
+        visits += terms
+        if slots + b <= D + 1:
+            added = terms
+            slots += b
+        else:
+            # The terms at e <= D - b, if spread evenly over the slots.
+            added = terms * (D + 1 - b) // slots
+            slots = D + 1
+        adds += added
+        passes += slots
+        terms = min(terms + added, slots)
+    packed += _WORD * words * (passes + 2 * slots)
+    if _DICT_STEP + _DICT_VISIT * (visits + terms) + _DICT_ADD * adds <= packed:
+        return False
+    # Under 32 fixed costs (88 us) a wrong choice loses about what the exact
+    # count, 5 to 20 us there, would cost.
+    if packed < 32 * _PACKED_STEP:
+        return True
+    present = bytearray(slots + 7 >> 3)
+    for e in numerator:
+        present[e >> 3] |= 1 << (e & 7)
+    support = int.from_bytes(present, "little")
+    # The step writes no slot past the last one, which is slot D if any
+    # factor reaches it.
+    below = (1 << slots) - 1
+    terms = support.bit_count()
+    cost = _DICT_STEP + _DICT_VISIT * terms
+    for b in odd:
+        # The terms at e <= D - b, which the factor adds at e + b.
+        moved = terms - (support >> D + 1 - b).bit_count()
+        support |= support << b & below
+        terms = support.bit_count()
+        cost += _DICT_ADD * moved + _DICT_VISIT * terms
+        if cost > packed:
+            return True
+    return cost > packed
 
 
 def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> int:
@@ -236,9 +310,10 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
     P starts sparse, as an {exponent: coefficient} dict.  At odd p only a_4
     and a_14 are odd, so the first steps multiply by few binomials and P has
     few terms spread over a range up to D.  Before each step the count
-    compares the slots that the step would write, min(max exponent + sum of
-    the odd b <= D, D) + 1 of them, with P's number of terms; once the slots
-    are fewer than ``_DENSE_FILL`` = 16 times the terms, P is packed into
+    estimates what the step would cost on the dict and what packing P and
+    taking the step packed would cost (:func:`_pack_pays`, from P's terms,
+    top exponent and largest coefficient, the odd b <= D and fixed unit
+    costs); at the first step where packing is the cheaper, P is packed into
     one integer, in one pass over the terms, and stays packed.  Slot e of
     that integer holds P[e] in ``words`` 64-bit words, and ``bits`` bounds
     the bit length of every coefficient: it starts at that of the largest
@@ -263,7 +338,7 @@ def count_decompositions(p: int, D: int, include_nonunitary: bool = False) -> in
     numerator: dict[int, int] | tuple[int, int, int, int] = {0: 1}
     while D:
         odd = [b for b in exponents if b & 1 and b <= D]
-        if isinstance(numerator, dict) and _DENSE_FILL * len(numerator) > min(max(numerator) + sum(odd), D) + 1:
+        if isinstance(numerator, dict) and _pack_pays(numerator, odd, D):
             bits = max(c.bit_length() for c in numerator.values())
             words = -(-bits // 64)
             size = 8 * words

@@ -199,9 +199,16 @@ def switch_step(monkeypatch, p, target, include_nonunitary=False):
     return [target >> s for s in range(target.bit_length() + 1)].index(handed[0]), count
 
 
+# Counts past the reference tables above, from the same row-order DP run once
+# in 64-bit integers: no entry up to these targets reaches 2^62.
+ROW_ORDER_COUNTS = {(7, 99975): 965059567117177, (23, 10**7): 1384172560521356}
+
+
 def expected_count(p, target, include_nonunitary):
     """The reference DP's count at p <= 13; the walk's at larger p, where the
     targets here have few solutions."""
+    if not include_nonunitary and (p, target) in ROW_ORDER_COUNTS:
+        return ROW_ORDER_COUNTS[p, target]
     if p > 13:
         return sum(1 for _ in newforms.iter_decompositions(p, target, include_nonunitary))
     if target <= MAX_TARGET:
@@ -209,20 +216,38 @@ def expected_count(p, target, include_nonunitary):
     return halving_table(p, include_nonunitary)[target]
 
 
+# The step at which _pack_pays first estimates packing and a packed step as
+# cheaper than the dict step; the costs quoted are its estimates.  A P of a
+# few terms never packs: even if every odd factor doubled it, the dict step
+# would cost less than packing alone.
 @pytest.mark.parametrize(
     "p,target,include_nonunitary,step",
     [
-        (3, 5, False, 0),  # below the smallest degree, 6: P = 1 is already full
-        (13, 1000, True, 0),  # no odd degree at or below the target
-        (3, 15, False, 1),
-        (3, 16, True, 1),
-        (3, 50, False, 2),
-        (5, 100, True, 2),
-        (3, 10**4, False, 2),
-        (13, 10**5, False, 5),
-        (11, 10**5, True, 4),
+        (3, 5, False, None),  # one term, and no odd degree up to 5
+        (13, 1000, True, None),  # at most three terms
+        (3, 15, False, None),  # one term at every step
+        (3, 16, True, None),  # at most two terms
+        (3, 30, False, None),  # at most two terms
+        (3, 50, False, None),  # four terms at step 3: spread evenly, 3.1 us against 4.6 us
+        (5, 100, True, None),  # one term at every step
+        # Two terms at step 1, 11.4 us if spread evenly against 9.5 us packed;
+        # packing this cheap is not worth an exact count.
+        (3, 10**4, False, 1),
+        # Even spread overrates step 3 twelvefold: 78 terms, 321 us counted
+        # exactly, 764 us packed; at step 4, 324 terms, 698 us against 495 us.
+        (13, 10**5, False, 4),
+        (13, 98507, False, 4),  # as at 10**5: 310 us against 751 us, then 661 us against 485 us
+        # 40 terms at step 2, 1.15 ms even if spread evenly, against 1.21 ms
+        # packed; 491 terms at step 3, 1.83 ms exactly against 1.09 ms.
+        (11, 10**5, True, 3),
+        # 21 terms at step 2, 156 us exactly against 292 us packed; 255 terms at
+        # step 3, 1.37 ms against 0.47 ms.
+        (7, 99975, False, 3),
+        # 4188 terms over 625,001 slots at step 4, 22 ms exactly against 40 ms
+        # packed; 19,562 terms at step 5, 46 ms against 30 ms.
+        (23, 10**7, False, 5),
         (47, 10**5, True, None),  # the parity slice empties P while it is sparse
-        (47, 10**6, False, None),
+        (47, 10**6, False, None),  # at most 31 terms over up to 90,611 slots
     ],
 )
 def test_switch_to_the_dense_phase(monkeypatch, p, target, include_nonunitary, step):
@@ -230,18 +255,44 @@ def test_switch_to_the_dense_phase(monkeypatch, p, target, include_nonunitary, s
     assert switch_step(monkeypatch, p, target, include_nonunitary) == (step, expected)
 
 
-@pytest.mark.parametrize("fill", [0, 10**9])
+@pytest.mark.parametrize("pack", [False, True])
 @pytest.mark.parametrize("p", ODD_PRIMES)
-def test_each_phase_alone_matches_reference_dp(monkeypatch, p, fill):
-    # A fill of 0 keeps P sparse to the end; 10**9 makes it dense from the start.
-    monkeypatch.setattr(newforms, "_DENSE_FILL", fill)
-    rng = random.Random(p + fill)
+def test_each_phase_alone_matches_reference_dp(monkeypatch, p, pack):
+    # Never packing keeps P sparse to the end; always packing makes it dense
+    # from the start.  The seeds keep the targets this test has always drawn.
+    monkeypatch.setattr(newforms, "_pack_pays", lambda numerator, odd, D: pack)
+    rng = random.Random(p + (10**9 if pack else 0))
     for include_nonunitary in (False, True):
         table = reference_table(p, include_nonunitary)
         targets = rng.sample(range(MAX_TARGET + 1), 8)
         assert [count_decompositions(p, D, include_nonunitary) for D in targets] == [
             table[D] for D in targets
         ]
+
+
+@given(st.sampled_from(ODD_PRIMES), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_packing_at_any_step_matches_reference_dp(p, include_nonunitary, data):
+    # The count is the same whichever step P is packed at, so the step can be
+    # left to a cost estimate.  Step target.bit_length() never packs.
+    target = data.draw(st.integers(min_value=0, max_value=MAX_TARGET), label="D")
+    step = data.draw(st.integers(min_value=0, max_value=target.bit_length()), label="step")
+    dense = newforms._count_dense
+    handed = []
+
+    def spy(numerator, odd, D):
+        handed.append(D)
+        return dense(numerator, odd, D)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newforms, "_pack_pays", lambda numerator, odd, D: D <= target >> step)
+        patch.setattr(newforms, "_count_dense", spy)
+        count = count_decompositions(p, target, include_nonunitary)
+    assert count == reference_table(p, include_nonunitary)[target]
+    # The packed phase starts at the step asked for; only a P that empties,
+    # for a count of 0, ends the count before that step.
+    if handed or (count and step < target.bit_length()):
+        assert handed[0] == target >> step
 
 
 def list_step(coefficients, odd, D):
@@ -417,7 +468,7 @@ def test_count_at_p47_at_the_limit_stays_small():
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("p", [13, 17, 19, 23])
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
 def test_dense_count_at_the_limit_stays_small(p):
     # These primes go dense at the limit, and the packed P takes about
     # min(D, sum a_n) * 8 * words bytes per copy; the whole interpreter
